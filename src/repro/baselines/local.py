@@ -28,12 +28,17 @@ from ..cluster.specs import CPUSpec
 from ..core.interface import (
     AcceleratorLifecycle,
     CapabilitySet,
-    reinterpret_legacy_peer_transfer,
-    reinterpret_legacy_pinned,
     release_all,
     unsupported,
 )
 from ..core.transfer import as_flat_bytes, payload_meta
+
+
+def _reject_positional_pinned(transfer: _t.Any, method: str) -> None:
+    """A bool in the ``transfer`` slot is the pre-unification ``pinned``
+    argument; ``transfer`` is ignored here, so it would be dropped silently."""
+    if isinstance(transfer, bool):
+        raise TypeError(f"{method}: pass pinned as a keyword (pinned=...)")
 
 
 class LocalAccelerator(AcceleratorLifecycle):
@@ -84,8 +89,7 @@ class LocalAccelerator(AcceleratorLifecycle):
         ``transfer`` is accepted for interface compatibility and ignored —
         a local copy has no network protocol.
         """
-        transfer, pinned = reinterpret_legacy_pinned(
-            transfer, pinned, "memcpy_h2d")
+        _reject_positional_pinned(transfer, "memcpy_h2d")
         nbytes = payload_nbytes(payload)
         with self._obs.start("client.memcpy_h2d", self._actor,
                              nbytes=nbytes) as span:
@@ -108,8 +112,7 @@ class LocalAccelerator(AcceleratorLifecycle):
     def memcpy_d2h(self, src: int, nbytes: int, transfer: _t.Any = None,
                    offset: int = 0, pinned: bool | None = None):
         """cudaMemcpy device-to-host (generator)."""
-        transfer, pinned = reinterpret_legacy_pinned(
-            transfer, pinned, "memcpy_d2h")
+        _reject_positional_pinned(transfer, "memcpy_d2h")
         nbytes = int(nbytes)
         with self._obs.start("client.memcpy_d2h", self._actor,
                              nbytes=nbytes) as span:
@@ -143,8 +146,7 @@ class LocalAccelerator(AcceleratorLifecycle):
                              zero_copy=zero_copy_enabled(), fabric=False)
 
     def peer_put(self, src: int, nbytes: int, peer: _t.Any, dst: int,
-                 *legacy, transfer: _t.Any = None,
-                 pinned: bool | None = None):
+                 *, transfer: _t.Any = None, pinned: bool | None = None):
         """Staged peer copy: D2H into host memory, then H2D on ``peer``.
 
         A node-attached GPU has no fabric, so the bytes bounce through the
@@ -154,7 +156,6 @@ class LocalAccelerator(AcceleratorLifecycle):
         :class:`~repro.errors.UnsupportedOp`, matching the historical
         behaviour for unusable peers.
         """
-        transfer = reinterpret_legacy_peer_transfer(legacy, transfer)
         if not hasattr(peer, "memcpy_h2d"):
             unsupported("peer_put", self)
         with self._obs.start("client.peer_put_staged", self._actor,

@@ -41,7 +41,6 @@ from .blocksize import DEFAULT_TRANSFER, TransferConfig
 from .interface import (
     AcceleratorLifecycle,
     CapabilitySet,
-    reinterpret_legacy_peer_transfer,
     release_all,
 )
 from .protocol import (
@@ -268,8 +267,7 @@ class RemoteAccelerator(AcceleratorLifecycle):
                              zero_copy=zero_copy_enabled(), fabric=True)
 
     def peer_put(self, src: int, nbytes: int, peer: "RemoteAccelerator",
-                 dst: int, *legacy,
-                 transfer: TransferConfig | None = None,
+                 dst: int, *, transfer: TransferConfig | None = None,
                  pinned: bool | None = None):
         """Copy device memory directly to another accelerator.
 
@@ -278,7 +276,6 @@ class RemoteAccelerator(AcceleratorLifecycle):
         impossible with CUDA 4.2 / OpenCL 1.2 (Sect. III-C).  ``dst`` is
         the destination address on ``peer`` (wire name ``peer_addr``).
         """
-        transfer = reinterpret_legacy_peer_transfer(legacy, transfer)
         cfg = self._cfg(transfer, pinned)
         blocks = cfg.plan_blocks(int(nbytes), "d2h")
         with self._obs.start("client.peer_put", self._actor,

@@ -34,7 +34,8 @@ from ..cluster import Cluster, paper_testbed
 from ..core.protocol import reset_request_ids
 from ..core.reliability import FailoverConfig, tenant_accelerator
 from ..core.scheduler import TenantSpec, jain_fairness
-from ..errors import AllocationError, MiddlewareError
+from ..errors import (AcceleratorFault, AllocationError, MiddlewareError,
+                      RequestTimeout)
 from ..mpisim import Phantom
 from ..obs import MetricsRegistry
 
@@ -64,8 +65,6 @@ class TenantWorkloadConfig:
     payload_bytes: int = 64 * 1024
     seed: int = 0
     classes: tuple[tuple[str, int, float, float], ...] = DEFAULT_CLASSES
-    #: Partition the engine into this many shards (None = plain engine).
-    shards: int | None = None
 
     def __post_init__(self) -> None:
         if self.n_tenants < 1:
@@ -160,10 +159,14 @@ def _one_request(cluster: Cluster, arm, make_remote, tenant_id: str,
                                  real=False)
         yield from ac.memcpy_d2h(addr, cfg.payload_bytes)
         yield from ac.release_lease()
-    except AllocationError:
-        # Preempted mid-session and the reacquire hit the tenant's own
-        # max_vaccels quota (another of its requests took the slot).  The
-        # old lease is already torn down; the session just ends early.
+    except (AllocationError, AcceleratorFault, RequestTimeout) as exc:
+        # AllocationError: preempted mid-session and the reacquire hit the
+        # tenant's own max_vaccels quota (another of its requests took the
+        # slot); the old lease is already torn down.  A fault or timeout
+        # means the failover budget ran out, and the revoked lease still
+        # has to go back to the ARM.  Either way the session ends early.
+        if not isinstance(exc, AllocationError):
+            yield from ac.release_lease()
         tally["aborted"] += 1
         tally["recoveries"] += ac.preemptions_survived
         reg.counter("tenant.aborted").inc()
@@ -184,8 +187,7 @@ def run(cfg: TenantWorkloadConfig | None = None) -> TenantWorkloadReport:
     reset_request_ids()
     rng = random.Random(cfg.seed)
     cluster = Cluster(paper_testbed(n_compute=cfg.n_gateways,
-                                    n_accelerators=cfg.n_accelerators),
-                      shards=cfg.shards)
+                                    n_accelerators=cfg.n_accelerators))
     cluster.arm.admission.slots_per_device = cfg.slots_per_device
     reg = MetricsRegistry()
     tally = {"completed": 0, "rejected": 0, "aborted": 0, "recoveries": 0}

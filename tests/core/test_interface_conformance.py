@@ -3,8 +3,8 @@
 The same op program must produce identical results on the remote
 middleware path, the node-attached local baseline, and the failover
 wrapper; optional capabilities degrade through the typed UnsupportedOp;
-the context-manager lifecycle and the legacy-signature deprecation shims
-behave uniformly.
+the context-manager lifecycle behaves uniformly; and the retired legacy
+call shapes fail loudly instead of being reinterpreted.
 """
 
 import dataclasses
@@ -163,16 +163,15 @@ class TestLifecycle:
 
 
 class TestDeprecationShims:
-    def test_legacy_positional_pinned_warns_and_works(self, rig):
+    def test_legacy_positional_pinned_is_a_type_error(self, rig):
         cluster, sess = rig
         local = make_backend("local", cluster, sess)
         data = np.arange(64, dtype=np.float64)
         ptr = sess.call(local.mem_alloc(data.nbytes))
-        with pytest.warns(DeprecationWarning, match="pinned"):
+        with pytest.raises(TypeError, match="pinned"):
             sess.call(local.memcpy_h2d(ptr, data, False))
-        with pytest.warns(DeprecationWarning, match="pinned"):
-            out = sess.call(local.memcpy_d2h(ptr, data.nbytes, False))
-        np.testing.assert_array_equal(out, data)
+        with pytest.raises(TypeError, match="pinned"):
+            sess.call(local.memcpy_d2h(ptr, data.nbytes, False))
 
     def test_keyword_pinned_does_not_warn(self, rig, recwarn):
         cluster, sess = rig
@@ -262,13 +261,11 @@ class TestPeerPutSignatureShim:
         sess.call(a.memcpy_h2d(src, data))
         return a, b, src, dst, data
 
-    def test_legacy_positional_transfer_warns_and_works(self, rig):
+    def test_legacy_positional_transfer_is_a_type_error(self, rig):
         cluster, sess = rig
         a, b, src, dst, data = self._pair(cluster, sess)
-        with pytest.warns(DeprecationWarning, match="transfer"):
+        with pytest.raises(TypeError, match="positional"):
             sess.call(a.peer_put(src, data.nbytes, b, dst, None))
-        out = sess.call(b.memcpy_d2h(dst, data.nbytes))
-        np.testing.assert_array_equal(out, data)
 
     def test_keyword_transfer_does_not_warn(self, rig, recwarn):
         cluster, sess = rig
@@ -280,15 +277,14 @@ class TestPeerPutSignatureShim:
     def test_too_many_positionals_is_a_type_error(self, rig):
         cluster, sess = rig
         a, b, src, dst, data = self._pair(cluster, sess)
-        with pytest.raises(TypeError, match="4 positional"):
+        with pytest.raises(TypeError, match="positional"):
             sess.call(a.peer_put(src, data.nbytes, b, dst, None, True))
 
     def test_positional_and_keyword_transfer_conflict(self, rig):
         cluster, sess = rig
         a, b, src, dst, data = self._pair(cluster, sess)
         from repro.core import DEFAULT_TRANSFER
-        with pytest.warns(DeprecationWarning, match="transfer"):
-            with pytest.raises(TypeError, match="both"):
-                sess.call(a.peer_put(src, data.nbytes, b, dst,
-                                     DEFAULT_TRANSFER,
-                                     transfer=DEFAULT_TRANSFER))
+        with pytest.raises(TypeError, match="positional"):
+            sess.call(a.peer_put(src, data.nbytes, b, dst,
+                                 DEFAULT_TRANSFER,
+                                 transfer=DEFAULT_TRANSFER))
