@@ -124,12 +124,16 @@ def trace_experiment(name: str, quick: bool = False,
                      check_identity: bool = False,
                      out: _t.TextIO | None = None) -> None:
     """Run one experiment traced; export and validate the Chrome trace."""
+    from ..core.protocol import reset_request_ids
     from ..obs import trace_session, validate_chrome_trace
     out = out if out is not None else sys.stdout
     mod = EXPERIMENTS.get(name)
     if mod is None:
         raise SystemExit(
             f"unknown experiment {name!r}; try: {', '.join(sorted(EXPERIMENTS))}")
+    # Pickled control frames grow with the request id, so both runs must
+    # draw ids from the same start for their virtual times to match.
+    reset_request_ids()
     with trace_session() as session:
         fig = mod.run(quick=quick)
     out.write(fig.render() + "\n")
@@ -146,6 +150,7 @@ def trace_experiment(name: str, quick: bool = False,
     if timeline:
         out.write(session.render_timeline() + "\n")
     if check_identity:
+        reset_request_ids()
         untraced = mod.run(quick=quick)
         if fig.to_dict() != untraced.to_dict():
             raise SystemExit(

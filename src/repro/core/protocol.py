@@ -46,8 +46,8 @@ def reset_request_ids() -> None:
     Control frames are sized by pickling and a pickled int grows with
     its magnitude, so *absolute* virtual times are only comparable
     across two independently built rigs when both draw the same id
-    sequence.  The A/B identity harness resets before each run;
-    production code never calls this.
+    sequence.  The seeded workloads, the A/B identity harness and
+    ``trace --check-identity`` reset before each run.
     """
     global _req_ids
     _req_ids = itertools.count(1)

@@ -189,10 +189,6 @@ class KernelCache:
     def record(self, tenant: str, ac_id: int, name: str) -> None:
         self._resident.add(self.key(tenant, ac_id, name))
 
-    def invalidate_device(self, ac_id: int) -> None:
-        """Drop every entry on one device (after a daemon restart)."""
-        self._resident = {k for k in self._resident if k[1] != ac_id}
-
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses

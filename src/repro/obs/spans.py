@@ -14,10 +14,9 @@ Recording a span never yields, never schedules an event, and never
 advances the clock — tracing on or off, the simulation timeline is
 bit-identical (asserted by ``tests/obs/test_identity.py``).
 
-Disabled tracing follows the ``NULL_TRACER`` pattern of
-:mod:`repro.sim.trace`: :meth:`TraceCollector.start` returns the shared
-:data:`NULL_SPAN` whose methods all no-op, so hot paths pay one enabled
-check per operation and nothing else.
+Disabled tracing is a null object: :meth:`TraceCollector.start`
+returns the shared :data:`NULL_SPAN` whose methods all no-op, so hot
+paths pay one enabled check per operation and nothing else.
 
 Collectors are looked up per engine with :func:`collector_for` — every
 component of one simulation shares one collector, exactly like they share
@@ -117,10 +116,16 @@ class Span:
                                     parent=self.context, **attrs)
 
     def finish(self, **attrs: _t.Any) -> None:
-        """Close the span at the current virtual time (idempotent)."""
+        """Close the span at the current virtual time (idempotent).
+
+        Once the engine is gone (a generator closed by garbage collection
+        after its run) there is no finish time: the span stays open.
+        """
         if self.end is None:
             if attrs:
                 self.attrs.update(attrs)
+            if self.collector._engine_ref() is None:
+                return
             self.end = self.collector.now
             self.collector._open.discard(self)
 
@@ -186,11 +191,6 @@ class NullSpan:
 NULL_SPAN = NullSpan()
 
 
-def span_wire(span: "Span | NullSpan") -> tuple[int, int] | None:
-    """The ``Request.trace`` payload for a span (None when disabled)."""
-    return span.wire
-
-
 def context_from_wire(wire: tuple[int, int] | None) -> SpanContext | None:
     """Rebuild a :class:`SpanContext` from a Request's ``trace`` field."""
     return SpanContext(*wire) if wire else None
@@ -213,6 +213,9 @@ class TraceCollector:
         # by engine, so a strong back-reference would pin the entry (and
         # the whole simulation) forever.
         self._engine_ref = weakref.ref(engine)
+        #: The engine clock as last read, so that spans left open by a
+        #: finished run still end no earlier than they started.
+        self._last_now = 0.0
         self.spans: list[Span] = []
         self._open: set[Span] = set()
         self._span_ids = itertools.count(1)
@@ -222,8 +225,11 @@ class TraceCollector:
     # -- clock ------------------------------------------------------------
     @property
     def now(self) -> float:
+        """The engine's virtual clock; the last value read once it is gone."""
         engine = self._engine_ref()
-        return engine.now if engine is not None else 0.0
+        if engine is not None:
+            self._last_now = engine.now
+        return self._last_now
 
     # -- span creation ----------------------------------------------------
     def start(self, name: str, actor: str,

@@ -8,14 +8,12 @@ Public surface::
 
     from repro.sim import Engine, Event, Timeout, Process
     from repro.sim import Store, Resource, BandwidthShare
-    from repro.sim import Tracer
 """
 
 from .engine import Engine
 from .events import AllOf, AnyOf, Condition, Deadline, Event, Timeout
 from .process import Process
 from .resources import BandwidthShare, Resource, Store
-from .trace import NULL_TRACER, TraceRecord, Tracer
 
 __all__ = [
     "Engine",
@@ -29,7 +27,4 @@ __all__ = [
     "Store",
     "Resource",
     "BandwidthShare",
-    "Tracer",
-    "TraceRecord",
-    "NULL_TRACER",
 ]

@@ -99,6 +99,16 @@ class Event:
                        (engine.now, next(engine._seq), self))
         return self
 
+    def succeed_after(self, delay: float) -> "Event":
+        """Trigger the event successfully ``delay`` seconds from now.
+
+        Merges a delay and a :meth:`succeed` into one heap entry, the way
+        :class:`Timeout` schedules itself: a callback chain can schedule
+        its own completion event instead of a Timeout that succeeds it.
+        """
+        self._trigger(True, None, delay)
+        return self
+
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event as failed with ``exception``.
 
@@ -124,16 +134,18 @@ class Event:
         if self._scheduled:
             self.engine._note_dead()
 
-    def _trigger(self, ok: bool, value: _t.Any) -> None:
+    def _trigger(self, ok: bool, value: _t.Any, delay: float = 0.0) -> None:
         if self._cancelled:
             raise SimulationError("cannot trigger a cancelled event")
         if self._value is not PENDING:
             raise SimulationError(
                 f"event already triggered (value={self._value!r})"
             )
+        # Enqueued first: a negative delay is rejected before any state
+        # changes.
+        self.engine._enqueue(self, delay)
         self._ok = ok
         self._value = value
-        self.engine._enqueue(self)
 
     def _process(self) -> None:
         """Run callbacks.  Called by the engine."""

@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.analysis.cli import EXPERIMENTS, list_experiments, main, run_experiment
+from repro.analysis.cli import (EXPERIMENTS, list_experiments, main,
+                                run_experiment, trace_experiment)
 from repro.analysis.metrics import collect
 from repro.cluster import Cluster, paper_testbed
 from repro.mpisim import Phantom
@@ -93,6 +94,17 @@ class TestCli:
         assert "shape check passed" in out.getvalue()
         data = json.loads(path.read_text())
         assert data["fig_id"] == "ext-utilization"
+
+    def test_trace_check_identity(self):
+        """A traced run matches its untraced re-run in the same process.
+
+        ext_async's control frames are pickled with process-global
+        request ids, so this holds only if both runs draw the same ids.
+        """
+        out = io.StringIO()
+        trace_experiment("ext_async", quick=True, check_identity=True,
+                         out=out)
+        assert "identity check passed" in out.getvalue()
 
     def test_main_list(self, capsys):
         assert main(["list"]) == 0

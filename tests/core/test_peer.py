@@ -115,6 +115,25 @@ class TestPeerProgramIdentity:
         for out in outcomes.values():
             assert out.results == expected
 
+    @pytest.mark.parametrize("seed,ring", [(0, False), (7, False),
+                                           (3, True)])
+    def test_traced_matches_untraced(self, seed, ring):
+        """Span tracing never perturbs either transport's timeline."""
+        from repro.netsim import TopologySpec
+        from repro.obs import trace_session
+
+        from ..harness import run_peer_modes
+        kwargs = (dict(n_devices=4, topology=TopologySpec(kind="ring",
+                                                          dims=(2,)))
+                  if ring else {})
+        with trace_session() as session:
+            _, traced = run_peer_modes(seed, **kwargs)
+        assert session.span_count() > 0
+        _, untraced = run_peer_modes(seed, **kwargs)
+        for mode in ("p2p", "staged"):
+            assert traced[mode].results == untraced[mode].results, mode
+            assert traced[mode].trace == untraced[mode].trace, mode
+
     def test_replay_is_deterministic(self):
         from ..harness import run_peer_modes
         first = run_peer_modes(5)[1]["p2p"]

@@ -9,6 +9,7 @@ Regenerate with::
       "from obs.test_export import regenerate_golden; regenerate_golden()"
 """
 
+import gc
 import json
 import pathlib
 
@@ -125,6 +126,30 @@ class TestValidation:
         trace["traceEvents"][0]["ph"] = "Z"
         with pytest.raises(TraceSchemaError, match="unknown phase"):
             validate_chrome_trace(trace)
+
+
+class TestEngineGone:
+    def test_span_outliving_its_engine_exports_open(self):
+        """A span closed after its engine was collected stays open, dur >= 0."""
+        engine = Engine()
+        col = enable_tracing(engine)
+
+        def prog():
+            yield engine.timeout(1e-3)
+            with col.start("client.memcpy_h2d", "cn0"):
+                yield engine.timeout(1.0)
+
+        engine.process(prog())
+        engine.run(until=2e-3)
+        # The run is abandoned mid-span: collecting the engine closes the
+        # generator, whose with-block finishes the span without a clock.
+        del engine, prog
+        gc.collect()
+        trace = chrome_trace(col)
+        validate_chrome_trace(trace)
+        (span_event,) = [e for e in trace["traceEvents"] if e["ph"] == "X"]
+        assert span_event["args"]["open"] is True
+        assert span_event["ts"] == 1e3 and span_event["dur"] >= 0
 
 
 class TestTimeline:

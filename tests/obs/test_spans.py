@@ -218,3 +218,55 @@ class TestFailoverSpans:
         assert "break_reported" in events
         assert "replacement_assigned" in events
         assert span.attrs["replayed_buffers"] == 1
+
+
+class TestFlowSpans:
+    """The fabric's and DMA engine's callback chains record spans."""
+
+    def test_traced_ping_records_finished_net_flow_spans(self, cluster, sess,
+                                                         collector, ac):
+        before = len(collector.by_name("net.flow"))
+        sess.call(ac.ping())
+        flows = collector.by_name("net.flow")[before:]
+        assert len(flows) >= 2  # the request and its reply
+        for span in flows:
+            assert not span.open
+            (injected,) = span.events
+            assert injected.name == "injected"
+            assert span.start <= injected.time <= span.end
+
+    def test_cut_link_closes_span_at_injection(self):
+        from repro.netsim import IB_QDR_MPI, Fabric
+        engine = Engine()
+        col = enable_tracing(engine)
+        fabric = Fabric(engine, IB_QDR_MPI)
+        fabric.add_endpoint("a")
+        fabric.add_endpoint("b")
+        fabric.cut("a", "b")
+        tx = fabric.transfer("a", "b", 4096)
+        engine.run()
+        (span,) = col.by_name("net.flow")
+        assert tx.dropped and not tx.delivered.triggered
+        assert not span.open
+        assert [e.name for e in span.events] == ["injected"]
+        assert span.end == span.events[0].time == IB_QDR_MPI.injection_overhead_s
+
+    def test_traced_copy_records_dma_span_with_engine_acquired(self):
+        from repro.gpusim import PCIE_GEN2_X16, DMAEngine
+        engine = Engine()
+        col = enable_tracing(engine)
+        dma = DMAEngine(engine, PCIE_GEN2_X16, name="gpu0.dma")
+        root = col.start("daemon.memcpy_h2d", "ac0")
+        first = dma.copy(4096, ctx=root.context)
+        second = dma.copy(8192, ctx=root.context)
+        engine.run(until=second)
+        assert first.processed
+        a, b = col.by_name("dma.copy")
+        for span in (a, b):
+            assert not span.open
+            assert span.parent_id == root.span_id
+            assert [e.name for e in span.events] == ["engine_acquired"]
+        assert a.end == PCIE_GEN2_X16.copy_time(4096)
+        # The second copy queues for the engine until the first is done.
+        assert b.start == 0.0 and b.events[0].time == a.end
+        assert b.end == engine.now

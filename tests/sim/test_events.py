@@ -89,6 +89,37 @@ class TestEvent:
             ev.succeed(None)
 
 
+class TestSucceedAfter:
+    def test_fires_at_now_plus_delay(self, eng):
+        eng.run(until=eng.timeout(1.0))
+        ev = eng.event()
+        seen = []
+        ev.add_callback(lambda e: seen.append((eng.now, e.value)))
+        assert ev.succeed_after(0.5) is ev
+        assert ev.triggered and ev.ok
+        eng.run()
+        assert seen == [(1.5, None)]
+
+    def test_negative_delay_raises(self, eng):
+        ev = eng.event()
+        with pytest.raises(SimulationError, match="negative"):
+            ev.succeed_after(-1e-9)
+        assert not ev.triggered
+
+    def test_second_trigger_raises(self, eng):
+        ev = eng.event().succeed_after(1.0)
+        with pytest.raises(SimulationError, match="already triggered"):
+            ev.succeed_after(1.0)
+        with pytest.raises(SimulationError, match="already triggered"):
+            ev.succeed(None)
+
+    def test_cancelled_event_raises(self, eng):
+        ev = eng.event()
+        ev.cancel()
+        with pytest.raises(SimulationError, match="cancelled"):
+            ev.succeed_after(1.0)
+
+
 class TestTimeout:
     def test_fires_at_delay(self, eng):
         times = []

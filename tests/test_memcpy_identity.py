@@ -31,7 +31,7 @@ MEMCPY_SEEDS = [0, 1, 2, 3, 4, 7, 42, 1234]
 def _assert_outcomes_identical(on, off):
     assert len(on.results) == len(off.results)
     for i, (a, b) in enumerate(zip(on.results, off.results)):
-        assert a == b, f"result[{i}] diverged between zero-copy on/off"
+        assert a == b, f"result[{i}] diverged"
     assert on.trace == off.trace, "virtual-time trace diverged"
 
 
@@ -44,6 +44,19 @@ def test_zero_copy_ab_identity(seed):
     assert spans_on == spans_off, (
         "traced span timeline diverged between zero-copy on/off")
     on.assert_monotonic()
+
+
+@pytest.mark.parametrize("seed", MEMCPY_SEEDS)
+def test_traced_matches_untraced(seed):
+    """Same program, tracing on vs off: bytes and trace identical."""
+    traced, spans = run_memcpy_traced(seed)
+    assert spans, "the traced run recorded no spans"
+    reset_request_ids()
+    with zero_copy(True):
+        cluster, sess, ac = make_remote_rig()
+        untraced = sess.call(run_memcpy(cluster.engine, ac,
+                                        generate_memcpy_program(seed)))
+    _assert_outcomes_identical(traced, untraced)
 
 
 @pytest.mark.parametrize("seed", MEMCPY_SEEDS)
