@@ -2,8 +2,8 @@
 
 Every control operation on a network-attached GPU — allocation, kernel
 creation, launch — costs a full request round trip through the daemon.
-The stream API queues those ops, coalesces consecutive ones into a single
-``BATCH`` frame, and resolves the results through futures, so the QR
+The stream API queues those ops, ships consecutive ones as a single
+``MBATCH`` frame, and resolves the results through futures, so the QR
 driver's control sequence crosses the network in a handful of frames
 instead of one RPC per op.
 

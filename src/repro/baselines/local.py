@@ -205,7 +205,7 @@ class LocalAccelerator(AcceleratorLifecycle):
             return "pong"
 
     # -- streams ----------------------------------------------------------
-    def stream(self, max_batch: int | None = None, name: str | None = None):
+    def stream(self, name: str | None = None):
         """Create an asynchronous command stream over the local GPU.
 
         There is no RPC to batch, so the stream pumps ops one at a time —
@@ -213,10 +213,8 @@ class LocalAccelerator(AcceleratorLifecycle):
         lets workloads and the deterministic harness run the same program
         against both backends.
         """
-        from ..core.stream import DEFAULT_MAX_BATCH, Stream
-        if max_batch is None:
-            max_batch = DEFAULT_MAX_BATCH
-        return Stream(self, self.engine, max_batch=max_batch, batching=False,
+        from ..core.stream import Stream
+        return Stream(self, self.engine,
                       name=name or f"local-{self.gpu.name}-stream")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

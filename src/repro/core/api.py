@@ -38,12 +38,14 @@ from ..errors import MiddlewareError, RequestTimeout
 from ..mpisim import RankHandle, payload_nbytes
 from ..obs.spans import collector_for
 from .blocksize import DEFAULT_TRANSFER, TransferConfig
+from .coalesce import FrameCoalescer
 from .interface import (
     AcceleratorLifecycle,
     CapabilitySet,
     release_all,
 )
 from .protocol import (
+    BATCHABLE_OPS,
     AcceleratorHandle,
     Op,
     Request,
@@ -55,6 +57,7 @@ from .protocol import (
     reply_tag,
 )
 from .reliability import DEFAULT_RETRY, RetryPolicy, reliable_rpc
+from .stream import Stream
 from .transfer import assemble_chunks, payload_meta, slice_chunks
 
 
@@ -362,19 +365,20 @@ class RemoteAccelerator(AcceleratorLifecycle):
             return resp.value
 
     # -- batching / streams -----------------------------------------------
-    def batch_rpc(self, calls: _t.Sequence[tuple[Op, dict]],
-                  timeout_s: float | None = None):
-        """Execute several control ops in one request frame (generator).
+    def coalesced_rpc(self, coalescer, calls: _t.Sequence[tuple[Op, dict]]):
+        """Submit control ops as one sub-frame to a coalescer (generator).
 
         ``calls`` is a list of ``(op, params)`` pairs drawn from
-        :data:`~repro.core.protocol.BATCHABLE_OPS`.  The whole frame costs
-        one round trip; the daemon executes the ops in order and replies
-        with the list of per-op :class:`Response` objects, which this
-        returns without raising — the caller (normally a
-        :class:`~repro.core.stream.Stream`) inspects each sub-response.
-        A retried frame is at-most-once via the daemon's dedup cache.
+        :data:`~repro.core.protocol.BATCHABLE_OPS`.  The
+        :class:`~repro.core.coalesce.FrameCoalescer` ships the sub-frame in
+        one MBATCH wire frame — merged with concurrent submissions from
+        other jobs and tenants when it serves several.  The daemon executes
+        the ops in order and the first failure skips the rest; the returned
+        list of per-op :class:`Response` objects is not raised on — the
+        caller (a :class:`~repro.core.stream.Stream` or a job front-end)
+        inspects each one.  The sub-frame keeps its own request id
+        (at-most-once on a retried frame) and span context (parenting).
         """
-        from .protocol import BATCHABLE_OPS
         wire = []
         for op, params in calls:
             if op not in BATCHABLE_OPS:
@@ -383,41 +387,11 @@ class RemoteAccelerator(AcceleratorLifecycle):
             # Sub-ops are resolved from their own params by the daemon's
             # executors, so each needs the lease scope too.
             wire.append((op.value, {**params, **self._scope}))
-        with self._obs.start("client.batch", self._actor,
-                             ops=len(wire)) as span:
-            resp = yield from self._rpc(Op.BATCH, {"ops": wire},
-                                        timeout_s=timeout_s, span=span)
-            # Track allocations made inside the frame so context-manager
-            # release covers batched mem_alloc/mem_free too.
-            for (op_value, params), sub in zip(wire, resp.value):
-                if not sub.ok:
-                    continue
-                if op_value == Op.MEM_ALLOC.value:
-                    self._live[sub.value] = params.get("nbytes", 0)
-                elif op_value == Op.MEM_FREE.value:
-                    self._live.pop(params.get("addr"), None)
-            return resp.value
-
-    def coalesced_rpc(self, coalescer, calls: _t.Sequence[tuple[Op, dict]]):
-        """Submit control ops as one sub-frame to a cross-stream coalescer.
-
-        Same contract as :meth:`batch_rpc` — the returned list of per-op
-        :class:`Response` objects is not raised on — but the round trip is
-        shared: the :class:`~repro.core.coalesce.FrameCoalescer` merges
-        this sub-frame with concurrent submissions from *other* streams
-        and tenants into one MBATCH wire frame.  The sub-frame keeps its
-        own request id (at-most-once) and span context (parenting).
-        """
-        from .protocol import BATCHABLE_OPS
-        wire = []
-        for op, params in calls:
-            if op not in BATCHABLE_OPS:
-                raise MiddlewareError(
-                    f"op {op.value!r} cannot ride a batch frame")
-            wire.append((op.value, {**params, **self._scope}))
         with self._obs.start("client.mbatch", self._actor,
                              ops=len(wire)) as span:
             subs = yield from coalescer.submit(wire, span=span)
+            # Track allocations made inside the frame so context-manager
+            # release covers batched mem_alloc/mem_free too.
             for (op_value, params), sub in zip(wire, subs):
                 if not sub.ok:
                     continue
@@ -427,23 +401,19 @@ class RemoteAccelerator(AcceleratorLifecycle):
                     self._live.pop(params.get("addr"), None)
             return subs
 
-    def stream(self, max_batch: int | None = None, name: str | None = None,
-               coalescer=None):
+    def stream(self, name: str | None = None):
         """Create an asynchronous command :class:`~repro.core.stream.Stream`.
 
         The stream queues ``ac*`` ops, returns futures immediately, and
-        coalesces consecutive control ops into BATCH frames over this
-        front-end's reliable-RPC path.  With a
-        :class:`~repro.core.coalesce.FrameCoalescer`, control runs are
-        instead submitted as sub-frames to be merged with *other* streams'
-        traffic to the same daemon.
+        ships each run of consecutive control ops as one sub-frame through
+        a private :class:`~repro.core.coalesce.FrameCoalescer` — one MBATCH
+        frame per run over this front-end's retry policy.
         """
-        from .stream import DEFAULT_MAX_BATCH, Stream
-        if max_batch is None:
-            max_batch = DEFAULT_MAX_BATCH
-        return Stream(self, self.rank.comm.engine, max_batch=max_batch,
+        return Stream(self, self.rank.comm.engine,
                       name=name or f"ac{self.handle.ac_id}-stream",
-                      coalescer=coalescer)
+                      coalescer=FrameCoalescer(self.rank,
+                                               self.handle.daemon_rank,
+                                               retry=self.retry))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<RemoteAccelerator ac{self.handle.ac_id} via rank {self.rank.index}>"

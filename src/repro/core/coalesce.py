@@ -1,21 +1,23 @@
-"""Cross-stream control-frame coalescing (the job service's merge point).
+"""Control-frame coalescing: the one path that builds batch frames.
 
-PR 2's per-stream batching coalesces *consecutive ops of one stream* into
-BATCH frames.  A serving front door multiplexes many concurrent jobs —
+Every multi-op control frame on the wire is an
+:data:`~repro.core.protocol.Op.MBATCH` request built here.  A command
+stream owns a private :class:`FrameCoalescer` and submits each run of its
+consecutive control ops as one sub-frame — one stream's frame carries one
+sub-frame.  A serving front door multiplexes many concurrent jobs —
 different tenants, different streams — onto the same gateway rank, and
-their small control frames still pay one round trip each.  The
+their small control frames would still pay one round trip each.  The
 Acceleration-as-a-Service observation (PAPERS.md, arXiv:1508.02558) is
 that virtualized accelerators only pay off when those concurrent clients'
-requests are aggregated at the service boundary.
+requests are aggregated at the service boundary, so the job service keeps
+one shared coalescer per (gateway rank, daemon) pair.
 
-:class:`FrameCoalescer` is that aggregation point: one instance per
-(gateway rank, daemon) pair.  Streams and job front-ends submit
-*sub-frames* (each a short list of batchable control ops under its own
-request id); the coalescer's pump gathers everything submitted within a
-virtual-time window and ships the merged set as a single
-:data:`~repro.core.protocol.Op.MBATCH` request.  The daemon executes the
-sub-frames independently (one tenant's failure never skips another's)
-and replies with one response list per sub-frame.
+Clients submit *sub-frames* (each a short list of batchable control ops
+under its own request id); the coalescer's pump ships everything pending
+as a single MBATCH request.  The daemon runs each sub-frame's ops in
+order — the first failure skips the rest of that sub-frame — and the
+sub-frames independently (one tenant's failure never skips another's),
+replying with one response list per sub-frame.
 
 Semantics preserved across the merge:
 
@@ -32,10 +34,10 @@ Semantics preserved across the merge:
   is not sticky: later submissions proceed, because the waiters belong to
   unrelated jobs.
 
-With ``window_s=0`` the pump still merges whatever accumulated while the
-previous frame was in flight (flush-on-drain), which is where most of the
-round-trip savings come from under load; a positive window trades a small
-added latency for denser frames.
+The pump adds no waiting window: it merges whatever accumulated while
+the previous frames were in flight (flush-on-drain), which is where the
+round-trip savings come from under load, without adding latency on an
+idle path.
 """
 
 from __future__ import annotations
@@ -78,25 +80,12 @@ class FrameCoalescer:
     """Merges concurrent sub-frames to one daemon into MBATCH frames."""
 
     def __init__(self, rank: "RankHandle", daemon_rank: int,
-                 window_s: float = 0.0,
-                 max_merge: int = DEFAULT_MAX_MERGE,
-                 max_inflight: int = DEFAULT_MAX_INFLIGHT,
-                 retry: RetryPolicy | None = None,
-                 name: str | None = None):
-        if window_s < 0:
-            raise ValueError(f"window_s must be >= 0: {window_s!r}")
-        if max_merge < 1:
-            raise ValueError(f"max_merge must be >= 1: {max_merge!r}")
-        if max_inflight < 1:
-            raise ValueError(f"max_inflight must be >= 1: {max_inflight!r}")
+                 retry: RetryPolicy | None = None):
         self.rank = rank
         self.daemon_rank = daemon_rank
         self.engine = rank.comm.engine
-        self.window_s = window_s
-        self.max_merge = max_merge
-        self.max_inflight = max_inflight
         self.retry = retry or DEFAULT_RETRY
-        self.name = name or f"coalesce:cn{rank.index}->r{daemon_rank}"
+        self.name = f"coalesce:cn{rank.index}->r{daemon_rank}"
         self._obs = collector_for(self.engine)
         self._pending: collections.deque[_SubFrame] = collections.deque()
         self._pump = None
@@ -149,11 +138,7 @@ class FrameCoalescer:
 
     def _drain(self):
         while self._pending:
-            if self.window_s > 0.0:
-                # Let concurrent jobs' submissions accumulate.  The window
-                # is virtual time, so merging on/off stays deterministic.
-                yield self.engine.timeout(self.window_s)
-            while self._inflight >= self.max_inflight:
+            while self._inflight >= DEFAULT_MAX_INFLIGHT:
                 # Backpressure: new submissions keep accumulating into
                 # `_pending` while we wait, which is where flush-on-drain
                 # merging comes from.
@@ -162,7 +147,7 @@ class FrameCoalescer:
             if not self._pending:
                 return
             batch = [self._pending.popleft()
-                     for _ in range(min(len(self._pending), self.max_merge))]
+                     for _ in range(min(len(self._pending), DEFAULT_MAX_MERGE))]
             self._inflight += 1
             self.engine.process(self._issue_slot(batch),
                                 name=f"{self.name}:frame")

@@ -54,11 +54,8 @@ class DaemonStats:
     @property
     def control_requests(self) -> int:
         return self.requests - self.transfer_requests
-    #: BATCH frames served, and control ops that arrived inside them.
-    batches: int = 0
-    batched_ops: int = 0
-    #: Cross-stream MBATCH frames served, the sub-frames merged into
-    #: them, and the control ops those sub-frames carried.
+    #: MBATCH frames served, the sub-frames merged into them, and the
+    #: control ops those sub-frames carried.
     mbatches: int = 0
     mbatched_subs: int = 0
     mbatched_ops: int = 0
@@ -85,7 +82,7 @@ class DaemonStats:
 
 #: At-most-once window: completed responses kept for duplicate detection.
 #: The window is counted in *replayable sub-responses*, not cache entries:
-#: a BATCH/MBATCH entry holds one recorded response per coalesced op, so a
+#: an MBATCH entry holds one recorded response per coalesced op, so a
 #: merged frame consumes a proportional share of the window (otherwise 512
 #: full frames could pin ~100x that many responses, and — worse — frames
 #: evicted by entry count would lose at-most-once protection for every op
@@ -96,18 +93,14 @@ DEDUP_CACHE_SIZE = 512
 def _replay_weight(resp: Response) -> int:
     """How many recorded sub-responses a cached reply replays.
 
-    1 for plain ops; the op count for BATCH (``value`` is a flat response
-    list) and MBATCH (``value`` is one response list per merged sub-frame).
+    1 for plain ops; the op count for MBATCH (``value`` is one response
+    list per merged sub-frame).
     """
     value = resp.value
     if not isinstance(value, list):
         return 1
-    n = 0
-    for entry in value:
-        if isinstance(entry, Response):
-            n += 1
-        elif isinstance(entry, list):
-            n += sum(1 for e in entry if isinstance(e, Response))
+    n = sum(1 for sub in value if isinstance(sub, list)
+            for e in sub if isinstance(e, Response))
     return max(n, 1)
 
 #: Lease-lifecycle ops exempt from the revoked-lease guard: they manage
@@ -255,7 +248,6 @@ class Daemon:
             Op.KERNEL_CREATE: self._kernel_create,
             Op.KERNEL_RUN: self._kernel_run,
             Op.PEER_PUT: self._peer_put,
-            Op.BATCH: self._batch,
             Op.MBATCH: self._mbatch,
             Op.VAC_ATTACH: self._vac_attach,
             Op.VAC_DETACH: self._vac_detach,
@@ -464,48 +456,7 @@ class Daemon:
         resp = yield from self._exec_mem_free(req.req_id, req.params)
         self._reply(req, resp)
 
-    # -- batched control frames -----------------------------------------
-    def _batch(self, req: Request, src: int):
-        """Execute a coalesced control frame: N ops, one round trip.
-
-        Sub-ops run strictly in list order (per-stream ordering).  The
-        first failing sub-op aborts the rest — their entries answer ERROR
-        without touching device state, so the client can map failures back
-        to queue positions.  The frame-level reply is OK whenever the frame
-        itself was well-formed; per-op status lives in the value list.
-        """
-        executors = self._executors()
-        self.stats.batches += 1
-        self.stats.batched_ops += len(req.params["ops"])
-        sub: list[Response] = []
-        failed: str | None = None
-        for i, (op_value, params) in enumerate(req.params["ops"]):
-            if i > 0:
-                # Dispatching each additional sub-op costs daemon CPU just
-                # like a separate request would — only the network round
-                # trips are saved.
-                yield self.engine.timeout(
-                    self.cpu.request_handling_s * self.slow_factor)
-            if failed is not None:
-                sub.append(Response(req.req_id, Status.ERROR,
-                                    error=f"skipped: {failed}"))
-                continue
-            try:
-                op = Op(op_value)
-            except ValueError:
-                op = None
-            exec_fn = executors.get(op) if op is not None else None
-            if exec_fn is None:
-                sub.append(Response(req.req_id, Status.ERROR,
-                                    error=f"op {op_value!r} is not batchable"))
-                failed = f"op {i} ({op_value}) was not batchable"
-                continue
-            resp = yield from exec_fn(req.req_id, params)
-            sub.append(resp)
-            if not resp.ok:
-                failed = f"op {i} ({op_value}) failed: {resp.error}"
-        self._reply(req, Response(req.req_id, Status.OK, value=sub))
-
+    # -- merged control frames ------------------------------------------
     def _exec_merged_op(self, executors: dict, sub_id: int,
                         op_value: _t.Any, params: dict):
         """One sub-op of a merged frame: per-op validation + vac guard.
@@ -534,15 +485,16 @@ class Daemon:
         return resp
 
     def _mbatch(self, req: Request, src: int):
-        """Execute a cross-stream merged frame: M sub-frames, one round trip.
+        """Execute a merged control frame: M sub-frames, one round trip.
 
         ``params["reqs"]`` is a list of ``(sub_req_id, ops)`` sub-frames
-        gathered by a :class:`~repro.core.coalesce.FrameCoalescer` from
-        *different* streams/tenants inside one coalescing window.  Unlike
-        BATCH (one stream's ops, fail-fast in queue order), sub-frames are
-        mutually independent: within a sub-frame the first failure skips
-        the rest of *that* sub-frame, but never touches the others — one
-        tenant's error must not poison its neighbours' merged requests.
+        gathered by a :class:`~repro.core.coalesce.FrameCoalescer` — one
+        stream's run of control ops, or several jobs' concurrent
+        submissions.  Within a sub-frame the ops run strictly in list order
+        and the first failure skips the rest of *that* sub-frame (their
+        entries answer ERROR without touching device state); sub-frames
+        are mutually independent — one tenant's error must not poison its
+        neighbours' merged requests.
 
         The reply value is one per-op response list per sub-frame, and the
         whole frame is dedup-cached under the carrier request id, so a
@@ -571,8 +523,9 @@ class Daemon:
                 with span:
                     for i, (op_value, params) in enumerate(ops):
                         if not first:
-                            # Same dispatch cost per additional op as a
-                            # BATCH frame: only round trips are saved.
+                            # Dispatching each additional op costs daemon
+                            # CPU just like a separate request would —
+                            # only the network round trips are saved.
                             yield self.engine.timeout(
                                 self.cpu.request_handling_s * self.slow_factor)
                         first = False

@@ -49,7 +49,8 @@ class CapabilitySet:
       ``peer_put`` degrades to a staged host copy when the peer exposes
       ``memcpy_h2d``, and raises :class:`~repro.errors.UnsupportedOp`
       otherwise.
-    * ``streams`` — ``stream()`` coalesces control ops into BATCH frames
+    * ``streams`` — ``stream()`` ships each run of control ops as one
+      MBATCH frame through a :class:`~repro.core.coalesce.FrameCoalescer`
       (``False``: streams exist but execute eagerly, no batching).
     * ``zero_copy`` — the data plane hands out :class:`ChunkView` loans
       instead of materialised copies.
@@ -99,8 +100,7 @@ class AcceleratorAPI(_t.Protocol):
                  dst: int, *, transfer: _t.Any = None,
                  pinned: bool | None = None) -> _t.Iterator: ...
 
-    def stream(self, max_batch: int | None = None,
-               name: str | None = None) -> _t.Any: ...
+    def stream(self, name: str | None = None) -> _t.Any: ...
 
     def release(self) -> _t.Iterator: ...
 

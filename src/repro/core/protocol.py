@@ -72,8 +72,7 @@ class Op(enum.Enum):
     KERNEL_RUN = "kernel_run"
     PEER_PUT = "peer_put"         # direct accelerator-to-accelerator copy
     PING = "ping"
-    BATCH = "batch"               # several control ops in one frame
-    MBATCH = "mbatch"             # several *merged* sub-frames in one frame
+    MBATCH = "mbatch"             # several control sub-frames in one frame
     SHUTDOWN = "shutdown"
     # ARM operations:
     ARM_ALLOC = "arm_alloc"
@@ -118,7 +117,6 @@ RETRYABLE_OPS = frozenset({
     Op.PING,
     Op.MEM_ALLOC,
     Op.KERNEL_CREATE,
-    Op.BATCH,
     Op.MBATCH,
     Op.ARM_STATUS,
     Op.ARM_BREAK,
@@ -137,17 +135,16 @@ DEDUP_OPS = frozenset({
     Op.MEMCPY_H2D,
     Op.KERNEL_RUN,
     Op.PEER_PUT,
-    Op.BATCH,
     Op.MBATCH,
     Op.VAC_ATTACH,
     Op.VAC_DETACH,
 })
 
-#: Control ops a :class:`~repro.core.stream.Stream` may coalesce into one
-#: :data:`Op.BATCH` frame.  Bulk transfers are excluded: their data blocks
-#: travel on per-request tags and must keep their own frames.  A retried
-#: batch is at-most-once because BATCH is in :data:`DEDUP_OPS` — the daemon
-#: replays the recorded sub-responses instead of re-executing the ops.
+#: Control ops that may ride an :data:`Op.MBATCH` sub-frame.  Bulk
+#: transfers are excluded: their data blocks travel on per-request tags and
+#: must keep their own frames.  A retried frame is at-most-once because
+#: MBATCH is in :data:`DEDUP_OPS` — the daemon replays the recorded
+#: sub-responses instead of re-executing the ops.
 BATCHABLE_OPS = frozenset({
     Op.PING,
     Op.MEM_ALLOC,

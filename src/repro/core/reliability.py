@@ -523,19 +523,17 @@ class ResilientAccelerator(AcceleratorLifecycle):
         """Free every live (virtual) allocation, with failover guarding."""
         yield from release_all(self, self._vmap)
 
-    def stream(self, max_batch: int | None = None, name: str | None = None):
+    def stream(self, name: str | None = None):
         """Create an asynchronous command stream over this wrapper.
 
         Ops pump one at a time through the guarded surface rather than in
-        BATCH frames: each op must be individually failover-guarded so a
+        batch frames: each op must be individually failover-guarded so a
         mid-frame fault cannot leave half a frame applied to the old
         accelerator and half to its replacement.  The queue/future surface
         is identical to the batching stream.
         """
-        from .stream import DEFAULT_MAX_BATCH, Stream
-        if max_batch is None:
-            max_batch = DEFAULT_MAX_BATCH
-        return Stream(self, self.engine, max_batch=max_batch, batching=False,
+        from .stream import Stream
+        return Stream(self, self.engine,
                       name=name or f"resilient-ac{self._ac.handle.ac_id}-stream")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -623,7 +621,13 @@ def tenant_accelerator(arm: "ArmClient",
     # fresh lease instead of surfacing a fault for a session that never
     # started.  After a recovery the replacement slice is already
     # attached, so re-running the attempt is an idempotent re-attach.
-    yield from ac.run_guarded(
-        lambda: ac.current.vac_attach(share=ac._grant["share"],
-                                      mem_quota=ac._grant["mem_quota"]))
+    try:
+        yield from ac.run_guarded(
+            lambda: ac.current.vac_attach(share=ac._grant["share"],
+                                          mem_quota=ac._grant["mem_quota"]))
+    except (AcceleratorFault, RequestTimeout):
+        # Failover budget exhausted before the session started: nobody
+        # holds the wrapper, so hand the current lease back to the ARM.
+        yield from arm.vrelease(ac.current.handle)
+        raise
     return ac

@@ -6,12 +6,14 @@ acKernelRun`` serialize on network round trips even while the GPU idles.
 A :class:`Stream` removes that cost the way rCUDA-style remote-GPU stacks
 do: operations are *queued* and return :class:`StreamFuture` handles
 immediately; a per-stream pump process drains the queue in FIFO order and
-coalesces consecutive small control ops (see
-:data:`~repro.core.protocol.BATCHABLE_OPS`) into a single
-:data:`~repro.core.protocol.Op.BATCH` request frame — one round trip
-instead of N.  Bulk transfers keep their own frames (their data blocks
-travel on per-request tags) but still overlap with work on *other*
-streams, because every stream pumps in its own simulation process.
+ships each run of consecutive small control ops (see
+:data:`~repro.core.protocol.BATCHABLE_OPS`) as one sub-frame of an
+:data:`~repro.core.protocol.Op.MBATCH` request through the stream's
+:class:`~repro.core.coalesce.FrameCoalescer` — one round trip instead of
+N.  A run of one op goes solo as its plain request.  Bulk transfers keep
+their own frames (their data blocks travel on per-request tags) but still
+overlap with work on *other* streams, because every stream pumps in its
+own simulation process.
 
 Ordering and failure semantics follow CUDA streams:
 
@@ -23,8 +25,8 @@ Ordering and failure semantics follow CUDA streams:
   it, and leaves the stream in a sticky error state that
   :meth:`Stream.synchronize` re-raises.
 
-Retries are safe: a whole batch frame travels under one request id and
-``Op.BATCH`` is in :data:`~repro.core.protocol.DEDUP_OPS`, so a timed-out
+Retries are safe: a whole frame travels under one request id and
+``Op.MBATCH`` is in :data:`~repro.core.protocol.DEDUP_OPS`, so a timed-out
 frame that is resent replays the daemon's recorded sub-responses instead
 of re-executing the ops — at-most-once, exactly like the single-op path.
 
@@ -46,9 +48,9 @@ from ..obs.spans import collector_for
 from ..sim import Engine, Event
 from .protocol import BATCHABLE_OPS, Op
 
-#: Largest number of control ops coalesced into one BATCH frame.  Bounded
-#: so one frame's daemon-side execution cannot starve interleaved streams
-#: and a lost frame retries a bounded amount of work.
+#: Largest number of control ops coalesced into one frame.  Bounded so
+#: one frame's daemon-side execution cannot starve interleaved streams and
+#: a lost frame retries a bounded amount of work.
 DEFAULT_MAX_BATCH = 16
 
 
@@ -153,34 +155,22 @@ class Stream:
     Works over any front-end exposing the ``ac*`` generator surface
     (:class:`~repro.core.api.RemoteAccelerator`,
     :class:`~repro.baselines.local.LocalAccelerator`,
-    :class:`~repro.core.reliability.ResilientAccelerator`).  Batching is
-    used when the front-end provides ``batch_rpc`` (the remote middleware
-    path); otherwise ops are pumped one at a time, which keeps workload
-    code backend-agnostic.
+    :class:`~repro.core.reliability.ResilientAccelerator`).  Control runs
+    are batched when the front-end hands the stream a ``coalescer`` (the
+    remote middleware path, whose front-end provides ``coalesced_rpc``);
+    otherwise ops are pumped one at a time, which keeps workload code
+    backend-agnostic.
 
     Obtain streams through the front-ends' ``stream()`` factories rather
     than constructing directly.
     """
 
-    def __init__(self, ac: _t.Any, engine: Engine,
-                 max_batch: int = DEFAULT_MAX_BATCH,
-                 batching: bool | None = None, name: str = "stream",
+    def __init__(self, ac: _t.Any, engine: Engine, name: str = "stream",
                  coalescer: _t.Any = None):
-        if max_batch < 1:
-            raise MiddlewareError(f"max_batch must be >= 1: {max_batch!r}")
-        if coalescer is not None and not hasattr(ac, "coalesced_rpc"):
-            raise MiddlewareError(
-                f"front-end {type(ac).__name__} cannot use a coalescer "
-                f"(no coalesced_rpc)")
         self.ac = ac
         self.engine = engine
-        self.max_batch = max_batch
-        self.batching = (batching if batching is not None
-                         else hasattr(ac, "batch_rpc"))
-        #: Cross-stream merge point: when set, control runs are submitted
-        #: as sub-frames to this :class:`~repro.core.coalesce.FrameCoalescer`
-        #: instead of being issued as per-stream BATCH frames — even runs
-        #: of one op, so solo control ops also merge with other streams.
+        #: The :class:`~repro.core.coalesce.FrameCoalescer` that carries
+        #: this stream's control runs, or None for an unbatched stream.
         self.coalescer = coalescer
         self.name = name
         self._obs = collector_for(engine)
@@ -188,7 +178,7 @@ class Stream:
         self._pump = None
         self._error: Exception | None = None
         #: Accounting: logical ops queued, frames actually issued, and how
-        #: many ops rode inside multi-op BATCH frames.
+        #: many ops rode inside multi-op frames.
         self.ops_issued = 0
         self.frames_issued = 0
         self.ops_batched = 0
@@ -316,17 +306,16 @@ class Stream:
                         f"op {pending[0].label!r}"))
                     return
                 continue
-            if self.batching and head.op in BATCHABLE_OPS:
+            if self.coalescer is not None and head.op in BATCHABLE_OPS:
                 run = [self._queue.popleft()]
-                while (self._queue and len(run) < self.max_batch
-                       and self.batching
+                while (self._queue and len(run) < DEFAULT_MAX_BATCH
                        and self._queue[0].op in BATCHABLE_OPS
                        and not self._queue[0].pending_futures()):
                     run.append(self._queue.popleft())
-                if len(run) == 1 and self.coalescer is None:
+                if len(run) == 1:
                     yield from self._issue_solo(run[0])
                 else:
-                    yield from self._issue_batch(run)
+                    yield from self._issue_run(run)
             else:
                 yield from self._issue_solo(self._queue.popleft())
             if self._error is not None:
@@ -364,7 +353,7 @@ class Stream:
                 return
         item.future._event.succeed(result)
 
-    def _issue_batch(self, run: list[_QueuedOp]):
+    def _issue_run(self, run: list[_QueuedOp]):
         self.frames_issued += 1
         self.ops_batched += len(run)
         frame = self._obs.start("stream.frame", self.name, ops=len(run),
@@ -376,11 +365,8 @@ class Stream:
                 calls = [self._as_call(item) for item in run]
                 self._obs.adopt_parent(frame.context)
                 try:
-                    if self.coalescer is not None:
-                        subs = yield from self.ac.coalesced_rpc(
-                            self.coalescer, calls)
-                    else:
-                        subs = yield from self.ac.batch_rpc(calls)
+                    subs = yield from self.ac.coalesced_rpc(self.coalescer,
+                                                            calls)
                 finally:
                     self._obs.clear_adopted()
             except Exception as exc:

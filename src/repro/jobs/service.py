@@ -50,7 +50,7 @@ import enum
 import hashlib
 import typing as _t
 
-from ..core.coalesce import DEFAULT_MAX_MERGE, FrameCoalescer
+from ..core.coalesce import FrameCoalescer
 from ..core.protocol import Op
 from ..core.reliability import RetryPolicy
 from ..core.scheduler import TenantSpec, WeightedFairQueue
@@ -61,14 +61,6 @@ from ..sim import Event
 if _t.TYPE_CHECKING:  # pragma: no cover
     from ..cluster.builder import Cluster
     from ..core.api import RemoteAccelerator
-
-#: Default coalescing window (virtual seconds).  Zero means flush-on-
-#: drain: the pump merges whatever accumulated while the previous frame
-#: was in flight, which captures most of the round-trip savings under
-#: load without adding any latency on an idle path.  A positive window
-#: (a fraction of the ~4 us control round trip) buys denser frames at
-#: the cost of that much added latency per frame.
-DEFAULT_WINDOW_S = 0.0
 
 #: Default time a returned lease stays warm before the pool detaches it.
 DEFAULT_LEASE_TTL_S = 50e-3
@@ -465,8 +457,6 @@ class JobService:
     def __init__(self, cluster: "Cluster", *,
                  gateways: _t.Sequence[int] | None = None,
                  coalescing: bool = True,
-                 window_s: float = DEFAULT_WINDOW_S,
-                 max_merge: int = DEFAULT_MAX_MERGE,
                  caching: bool = True,
                  lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
                  max_in_flight: int | None = None,
@@ -480,8 +470,6 @@ class JobService:
         if not self.gateways:
             raise WorkloadError("job service needs at least one gateway")
         self.coalescing = coalescing
-        self.window_s = window_s
-        self.max_merge = max_merge
         self.retry = retry
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         capacity = (len(cluster.accelerator_nodes)
@@ -615,8 +603,7 @@ class JobService:
         co = self._coalescers.get(key)
         if co is None:
             co = FrameCoalescer(self.cluster.compute_rank(gateway),
-                                daemon_rank, window_s=self.window_s,
-                                max_merge=self.max_merge, retry=self.retry)
+                                daemon_rank, retry=self.retry)
             self._coalescers[key] = co
         return co
 

@@ -57,7 +57,6 @@ class EnsembleConfig:
     #: Warm-path switches (the benchmark's independent variable).
     coalescing: bool = True
     caching: bool = True
-    coalesce_window_s: float = 0.0
     lease_ttl_s: float = 50e-3
 
     def __post_init__(self) -> None:
@@ -303,7 +302,6 @@ def run(cfg: EnsembleConfig | None = None) -> EnsembleReport:
     service = JobService(cluster,
                          coalescing=cfg.coalescing,
                          caching=cfg.caching,
-                         window_s=cfg.coalesce_window_s,
                          lease_ttl_s=cfg.lease_ttl_s)
     for cname, _cprio, weight, _frac in cfg.classes:
         service.ensure_tenant(cname, weight=weight)

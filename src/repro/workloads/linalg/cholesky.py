@@ -66,7 +66,7 @@ def cholesky_factorize(engine: Engine, cpu: CPUSpec,
     real numerics when ``A`` is given, timing-only otherwise; the timed
     region is the factorization loop.  ``streams=True`` routes the control
     sequences (setup, trailing-update launch chains, teardown) through
-    asynchronous command streams with BATCH coalescing.
+    asynchronous command streams with MBATCH coalescing.
     """
     real = A is not None
     if real and A.shape != (n, n):

@@ -79,7 +79,7 @@ def qr_factorize(engine: Engine, cpu: CPUSpec, accelerators: _t.Sequence[_t.Any]
 
     With ``streams=True`` the control sequences (setup allocations, the
     per-GPU dlarfb launch chains, teardown frees) go through asynchronous
-    command streams, coalescing consecutive control ops into BATCH frames
+    command streams, coalescing consecutive control ops into MBATCH frames
     — identical numerics, fewer request round trips.
     """
     real = A is not None
@@ -147,7 +147,7 @@ def qr_factorize(engine: Engine, cpu: CPUSpec, accelerators: _t.Sequence[_t.Any]
                          targets: _t.Sequence[int], skip: int | None = None):
         """Queue every trailing dlarfb on per-GPU streams, then wait.
 
-        Consecutive launches on one GPU coalesce into BATCH frames; the
+        Consecutive launches on one GPU coalesce into MBATCH frames; the
         per-GPU streams run concurrently, like ``run_parallel`` does for
         the sync path.
         """

@@ -290,7 +290,7 @@ def run_mp2c(engine: Engine, cpu: CPUSpec, ranks: _t.Sequence[RankHandle],
     mesoscopic solvent.  With solutes, ``final`` holds per-rank
     ``(pos, vel, solute_pos, solute_vel)`` tuples.  ``streams=True``
     drives each rank's accelerator through an asynchronous command
-    stream (setup/teardown control ops coalesce into BATCH frames).
+    stream (setup/teardown control ops coalesce into MBATCH frames).
     """
     n_ranks = len(ranks)
     if len(accelerators) != n_ranks:

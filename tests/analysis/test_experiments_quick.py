@@ -4,6 +4,7 @@ own shape check (the benchmarks run the full sweeps)."""
 import pytest
 
 from repro.analysis.experiments import (
+    ext_async,
     ext_blocksize,
     ext_faults,
     ext_gpudirect,
@@ -78,3 +79,9 @@ class TestExtensionDriversQuick:
     def test_ext_gpudirect_quick(self):
         fig = ext_gpudirect.run(quick=True)
         ext_gpudirect.check(fig)
+
+    def test_ext_async_quick(self):
+        # The one experiment that sends stream frames: its check gates the
+        # >=2x control round-trip cut, bit-identical R and no slowdown.
+        fig = ext_async.run(quick=True)
+        ext_async.check(fig)

@@ -4,8 +4,10 @@ import pytest
 
 from repro.cluster import Cluster, paper_testbed
 from repro.core import (
+    FaultInjector,
     Op,
     Request,
+    RetryPolicy,
     TAG_REQUEST,
     next_request_id,
     reply_tag,
@@ -21,8 +23,7 @@ def rig():
     sess = cluster.session()
     handles = sess.call(cluster.arm_client(0).alloc(count=1))
     ac = cluster.remote(0, handles[0])
-    co = FrameCoalescer(cluster.compute_rank(0), handles[0].daemon_rank,
-                        window_s=2e-6)
+    co = FrameCoalescer(cluster.compute_rank(0), handles[0].daemon_rank)
     return cluster, sess, ac, co
 
 
@@ -42,7 +43,7 @@ class TestFrameCoalescer:
             for _ in range(4)])
         addrs = {subs[0].value for subs in results}
         assert len(addrs) == 4 and all(s[0].ok for s in results)
-        # The 2 us window gathered the concurrent submissions: fewer
+        # Flush-on-drain gathered the concurrent submissions: fewer
         # frames than sub-frames, and the daemon saw merged carriers.
         assert co.subs_in == 4
         assert co.frames_out < co.subs_in
@@ -77,16 +78,6 @@ class TestFrameCoalescer:
         with pytest.raises(MiddlewareError):
             sess.call(ac.coalesced_rpc(
                 co, [(Op.MEMCPY_H2D, {"addr": 0, "nbytes": 8})]))
-
-    def test_validation(self, rig):
-        cluster, _, ac, _ = rig
-        rank = cluster.compute_rank(0)
-        with pytest.raises(ValueError):
-            FrameCoalescer(rank, ac.handle.daemon_rank, window_s=-1.0)
-        with pytest.raises(ValueError):
-            FrameCoalescer(rank, ac.handle.daemon_rank, max_merge=0)
-        with pytest.raises(ValueError):
-            FrameCoalescer(rank, ac.handle.daemon_rank, max_inflight=0)
 
 
 class TestMbatchDedup:
@@ -128,6 +119,32 @@ class TestMbatchDedup:
             == [[s.value for s in sub] for sub in first.value]
         assert daemon.gpu.memory.used_bytes == used
         assert daemon.stats.dedup_hits == 1
+
+    def test_straggler_resend_gives_each_rider_its_result_once(self, rig):
+        # A daemon straggler in the middle of a merged frame: the carrier
+        # misses its deadline and is resent, and the daemon replays it.
+        cluster, sess, ac, _ = rig
+        daemon = cluster.daemons[ac.handle.ac_id]
+        co = FrameCoalescer(cluster.compute_rank(0), ac.handle.daemon_rank,
+                            retry=RetryPolicy(timeout_s=150e-6))
+        now = cluster.engine.now
+        FaultInjector(cluster).slow_at(ac.handle.ac_id, now, 50.0,
+                                       until_time=now + 1e-3)
+        used = daemon.gpu.memory.used_bytes
+        first, second = sess.parallel([
+            ac.coalesced_rpc(co, [(Op.MEM_ALLOC, {"nbytes": 4096})]),
+            ac.coalesced_rpc(co, [(Op.MEM_ALLOC, {"nbytes": 4096}),
+                                  (Op.PING, {})]),
+        ])
+        assert co.frames_out == 1 and co.merged_subs == 2  # one carrier
+        assert co.timeouts >= 1 and daemon.stats.dedup_hits >= 1
+        assert daemon.stats.mbatches == 1 and daemon.stats.mbatched_subs == 2
+        # Each rider got its own responses, executed exactly once.
+        assert len(first) == 1 and len(second) == 2
+        assert all(s.ok for s in first + second)
+        assert first[0].value != second[0].value
+        assert second[1].value == "pong"
+        assert daemon.gpu.memory.used_bytes == used + 2 * 4096
 
     def test_merged_frame_weighs_its_sub_count_in_the_dedup_window(
             self, rig, monkeypatch):

@@ -10,6 +10,7 @@ import pytest
 from repro.core import (
     FailoverConfig,
     VirtualAcceleratorHandle,
+    tenant_accelerator,
 )
 from repro.errors import AcceleratorFault, AllocationError, MiddlewareError
 
@@ -30,6 +31,27 @@ class TestLeaseLifecycle:
         assert snap[vac.ac_id]["leases"] == 1
         out = sess.call(client.vrelease(vac))
         assert out == {"revoked": False}
+        assert cluster.arm.lease_count() == 0
+
+    def test_failed_first_attach_returns_the_lease(self, cluster, sess):
+        # The granted daemon breaks between valloc and VAC_ATTACH and the
+        # failover budget is zero: the fault surfaces, and the grant must
+        # go back to the ARM rather than hold a slot nobody can use.
+        client = cluster.arm_client(0)
+        sess.call(client.register_tenant("alice"))
+        valloc = client.valloc
+
+        def valloc_then_break(*args, **kwargs):
+            grant = yield from valloc(*args, **kwargs)
+            cluster.daemons[grant["vac"].ac_id].broken = True
+            return grant
+
+        client.valloc = valloc_then_break
+        with pytest.raises(AcceleratorFault):
+            sess.call(tenant_accelerator(
+                client, lambda h: cluster.remote(0, h), "alice",
+                config=FailoverConfig(max_failovers=0)))
+        assert cluster.arm.admission.leases == {}
         assert cluster.arm.lease_count() == 0
 
     def test_valloc_unknown_tenant_rejected(self, cluster, sess):

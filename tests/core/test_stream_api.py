@@ -1,10 +1,12 @@
-"""Unit tests for the asynchronous command-stream API and BATCH frames."""
+"""Unit tests for the asynchronous command-stream API and its MBATCH frames."""
 
 import numpy as np
 import pytest
 
 from repro.core import (
     BATCHABLE_OPS,
+    DEFAULT_MAX_BATCH,
+    FaultInjector,
     Op,
     Request,
     RetryPolicy,
@@ -12,6 +14,7 @@ from repro.core import (
     next_request_id,
     reply_tag,
 )
+from repro.core.coalesce import FrameCoalescer
 from repro.errors import MiddlewareError
 
 
@@ -23,30 +26,56 @@ def rig(cluster):
     return cluster, sess, acs
 
 
+def _raw_mbatch(cluster, sess, ac, req_id, ops, attempt=0):
+    """Send one single-sub-frame MBATCH by hand; return the reply."""
+    rank = cluster.compute_rank(0)
+
+    def exchange():
+        req = Request(op=Op.MBATCH, req_id=req_id, reply_to=0,
+                      params={"reqs": [(req_id, ops)]}, attempt=attempt)
+        rreq = rank.irecv(source=ac.handle.daemon_rank, tag=reply_tag(req_id))
+        rank.isend(ac.handle.daemon_rank, TAG_REQUEST, req)
+        yield rreq.done
+        return rreq.message.payload
+
+    return sess.call(exchange())
+
+
 class TestBatchFrame:
-    def test_batch_rpc_one_round_trip(self, rig):
+    def test_coalesced_rpc_one_round_trip(self, rig):
         cluster, sess, acs = rig
         ac = acs[0]
         daemon = cluster.daemons[ac.handle.ac_id]
-        before = ac.requests
-        subs = sess.call(ac.batch_rpc([
+        co = FrameCoalescer(ac.rank, ac.handle.daemon_rank)
+        subs = sess.call(ac.coalesced_rpc(co, [
             (Op.MEM_ALLOC, {"nbytes": 4096}),
             (Op.MEM_ALLOC, {"nbytes": 8192}),
             (Op.KERNEL_CREATE, {"name": "dscal"}),
             (Op.PING, {}),
         ]))
-        assert ac.requests == before + 1          # one frame on the wire
-        assert daemon.stats.batches == 1
-        assert daemon.stats.batched_ops == 4
+        assert co.requests == 1 and co.frames_out == 1  # one wire frame
+        assert daemon.stats.mbatches == 1
+        assert daemon.stats.mbatched_ops == 4
         assert [s.ok for s in subs] == [True] * 4
         addr_a, addr_b = subs[0].value, subs[1].value
         assert addr_a != addr_b
         assert daemon.gpu.memory.used_bytes == 4096 + 8192
+        assert ac._live == {addr_a: 4096, addr_b: 8192}
 
     def test_batch_rejects_unbatchable_op(self, rig):
-        _, sess, acs = rig
+        cluster, sess, acs = rig
+        ac = acs[0]
+        co = FrameCoalescer(ac.rank, ac.handle.daemon_rank)
         with pytest.raises(MiddlewareError):
-            sess.call(acs[0].batch_rpc([(Op.MEMCPY_H2D, {})]))
+            sess.call(ac.coalesced_rpc(co, [(Op.MEMCPY_H2D, {})]))
+        assert co.subs_in == 0       # refused before anything was queued
+        # A hand-built frame gets past the client check; the daemon
+        # answers ERROR for the op and skips the rest of its sub-frame.
+        reply = _raw_mbatch(cluster, sess, ac, next_request_id(),
+                            [(Op.MEMCPY_H2D.value, {}), (Op.PING.value, {})])
+        bad, skipped = reply.value[0]
+        assert not bad.ok and "not batchable" in bad.error
+        assert not skipped.ok and "skipped" in skipped.error
 
     def test_transfers_are_not_batchable(self):
         assert Op.MEMCPY_H2D not in BATCHABLE_OPS
@@ -54,14 +83,16 @@ class TestBatchFrame:
         assert Op.PEER_PUT not in BATCHABLE_OPS
         # A retried frame must be at-most-once.
         from repro.core import DEDUP_OPS, RETRYABLE_OPS
-        assert Op.BATCH in RETRYABLE_OPS and Op.BATCH in DEDUP_OPS
+        assert Op.MBATCH in RETRYABLE_OPS and Op.MBATCH in DEDUP_OPS
+        assert not hasattr(Op, "BATCH")   # MBATCH is the one batch frame
 
     def test_failed_sub_op_aborts_rest_of_frame(self, rig):
         cluster, sess, acs = rig
         ac = acs[0]
         daemon = cluster.daemons[ac.handle.ac_id]
         used = daemon.gpu.memory.used_bytes
-        subs = sess.call(ac.batch_rpc([
+        co = FrameCoalescer(ac.rank, ac.handle.daemon_rank)
+        subs = sess.call(ac.coalesced_rpc(co, [
             (Op.KERNEL_CREATE, {"name": "no_such_kernel"}),
             (Op.MEM_ALLOC, {"nbytes": 4096}),
         ]))
@@ -73,28 +104,19 @@ class TestBatchFrame:
         cluster, sess, acs = rig
         ac = acs[0]
         daemon = cluster.daemons[ac.handle.ac_id]
-        rank = cluster.compute_rank(0)
         req_id = next_request_id()
         ops = [(Op.MEM_ALLOC.value, {"nbytes": 4096}),
                (Op.MEM_ALLOC.value, {"nbytes": 4096})]
 
-        def exchange(attempt):
-            req = Request(op=Op.BATCH, req_id=req_id, reply_to=0,
-                          params={"ops": ops}, attempt=attempt)
-            rreq = rank.irecv(source=ac.handle.daemon_rank,
-                              tag=reply_tag(req_id))
-            rank.isend(ac.handle.daemon_rank, TAG_REQUEST, req)
-            yield rreq.done
-            return rreq.message.payload
-
-        first = sess.call(exchange(0))
+        first = _raw_mbatch(cluster, sess, ac, req_id, ops)
         used = daemon.gpu.memory.used_bytes
-        second = sess.call(exchange(1))
+        second = _raw_mbatch(cluster, sess, ac, req_id, ops, attempt=1)
         # The whole frame is deduplicated: same addresses, no new memory.
-        assert [s.value for s in second.value] == [s.value for s in first.value]
+        assert ([s.value for s in second.value[0]]
+                == [s.value for s in first.value[0]])
         assert daemon.gpu.memory.used_bytes == used
         assert daemon.stats.dedup_hits == 1
-        assert daemon.stats.batches == 1
+        assert daemon.stats.mbatches == 1
 
 
 class TestStream:
@@ -120,7 +142,7 @@ class TestStream:
         assert s.ops_issued == 6
         assert s.frames_issued == 5
         assert s.roundtrips_saved == 1
-        assert daemon.stats.batches == 1 and daemon.stats.batched_ops == 2
+        assert daemon.stats.mbatches == 1 and daemon.stats.mbatched_ops == 2
 
     def test_future_params_resolve_across_frames(self, rig):
         _, sess, acs = rig
@@ -145,18 +167,21 @@ class TestStream:
         _, sess, acs = rig
         ac = acs[0]
 
+        n = 2 * DEFAULT_MAX_BATCH + 2
+
         def body():
-            s = ac.stream(max_batch=4)
-            for _ in range(10):
+            s = ac.stream()
+            for _ in range(n):
                 s.ping()
             yield from s.synchronize()
             return s
 
         s = sess.call(body())
-        assert s.ops_issued == 10
-        # 10 pings at max_batch=4 -> frames of 4+4+2.
+        assert s.ops_issued == n
+        # 2x16+2 pings -> frames of 16+16+2.
         assert s.frames_issued == 3
-        assert s.ops_batched == 10
+        assert s.ops_batched == n
+        assert s.coalescer.frames_out == 3
 
     def test_result_before_completion_raises(self, rig):
         _, sess, acs = rig
@@ -256,12 +281,17 @@ class TestStream:
         assert s.frames_issued == 4
 
     def test_stream_retry_is_at_most_once(self, rig):
-        """A batch frame whose reply is delayed past the deadline is
-        resent; the daemon replays it instead of re-allocating."""
+        """A frame whose reply is delayed past the deadline is resent;
+        the daemon replays it instead of re-allocating."""
         cluster, sess, acs = rig
         ac = cluster.remote(0, acs[0].handle,
                             retry=RetryPolicy(timeout_s=150e-6))
         daemon = cluster.daemons[ac.handle.ac_id]
+        # A 50x straggler for 1 ms: the frame's reply misses its 150 us
+        # deadline, so the frame really is resent.
+        now = cluster.engine.now
+        FaultInjector(cluster).slow_at(ac.handle.ac_id, now, 50.0,
+                                       until_time=now + 1e-3)
 
         def body():
             s = ac.stream()
@@ -272,9 +302,10 @@ class TestStream:
 
         s, a, b = sess.call(body())
         assert a.result() != b.result()
+        assert s.coalescer.timeouts >= 1          # an attempt timed out
+        assert daemon.stats.dedup_hits >= 1       # ...and was replayed
+        assert daemon.stats.mbatches == 1         # executed exactly once
         assert daemon.gpu.memory.used_bytes == 2 * 4096
-        # Whether or not the deadline fired, memory was allocated once.
-        assert daemon.stats.batches >= 1
 
 
 class TestBackendParity:
@@ -289,7 +320,7 @@ class TestBackendParity:
 
         def body():
             s = local.stream()
-            assert not s.batching        # no RPC to batch
+            assert s.coalescer is None   # no RPC to batch
             s.kernel_create("dscal")
             a = s.mem_alloc(8 * 8)
             s.memcpy_h2d(a, np.full(8, 3.0))
@@ -308,7 +339,7 @@ class TestBackendParity:
 
         def body():
             s = ra.stream()
-            assert not s.batching        # per-op failover guard
+            assert s.coalescer is None   # per-op failover guard
             s.kernel_create("dscal")
             a = s.mem_alloc(8 * 8)
             s.memcpy_h2d(a, np.full(8, 1.0))
@@ -319,7 +350,3 @@ class TestBackendParity:
 
         d = sess.call(body())
         assert np.allclose(d.result(), 7.0)
-
-    def test_stream_validates_max_batch(self, rig):
-        with pytest.raises(MiddlewareError):
-            rig[2][0].stream(max_batch=0)

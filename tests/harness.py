@@ -5,7 +5,7 @@ alloc / upload / kernel / download / free instructions — through three
 independent execution paths:
 
 * the synchronous ``ac*`` API on a :class:`RemoteAccelerator`,
-* the asynchronous :class:`~repro.core.stream.Stream` API (BATCH
+* the asynchronous :class:`~repro.core.stream.Stream` API (MBATCH
   coalescing) on a :class:`RemoteAccelerator`,
 * the node-attached :class:`~repro.baselines.local.LocalAccelerator`
   baseline (no network at all),
