@@ -10,7 +10,6 @@
 
 from .api import RemoteAccelerator, run_parallel
 from .arm import AcceleratorRecord, AcceleratorState, ArmClient, ResourceManager
-from .batch import BatchJobRecord, BatchJobSpec, BatchRunner, JobContext
 from .collectives import ring_allreduce, ring_broadcast
 from .blocksize import (
     AdaptiveBlockPolicy,
@@ -71,10 +70,6 @@ from .transfer import assemble_chunks, payload_meta, slice_chunks
 __all__ = [
     "RemoteAccelerator",
     "run_parallel",
-    "BatchRunner",
-    "BatchJobSpec",
-    "BatchJobRecord",
-    "JobContext",
     "Daemon",
     "DaemonStats",
     "ResourceManager",

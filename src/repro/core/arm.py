@@ -80,7 +80,8 @@ class AcceleratorRecord:
     #: Fabric switch the device hangs off (None on a single switch);
     #: drives topology-aware multi-device placement.
     switch: str | None = None
-    #: Total seconds spent in ASSIGNED state (utilization accounting).
+    #: Total seconds held — whole-device ASSIGNED or hosting at least one
+    #: virtual lease (utilization accounting).
     assigned_seconds: float = 0.0
     _assigned_at: float | None = None
     #: Completed assignment intervals as (start, end) virtual times, so
@@ -196,14 +197,16 @@ class ResourceManager:
         return self.topology.hops(ra.switch, rb.switch)
 
     def utilization(self, elapsed: float | None = None) -> float:
-        """Mean assigned-time fraction over all accelerators.
+        """Mean held-time fraction over all accelerators.
 
-        ``elapsed`` restricts accounting to the last ``elapsed`` seconds
-        of virtual time: each assignment interval contributes only its
-        overlap with ``[now - elapsed, now]``, so service completed before
-        the window is not charged against it, and each accelerator's
-        contribution (including in-flight assignments) is clamped to the
-        window so the fraction never exceeds 1.0.
+        A device is held while it is whole-device assigned or hosts at
+        least one virtual lease.  ``elapsed`` restricts accounting to the
+        last ``elapsed`` seconds of virtual time: each held interval
+        contributes only its overlap with ``[now - elapsed, now]``, so
+        service completed before the window is not charged against it,
+        and each accelerator's contribution (including in-flight
+        intervals) is clamped to the window so the fraction never
+        exceeds 1.0.
         """
         now = self.engine.now
         total = elapsed if elapsed is not None else now
@@ -304,7 +307,7 @@ class ResourceManager:
             r.state = AcceleratorState.ASSIGNED
             r.owner_rank = req.reply_to
             r.job = req.params.get("job")
-            r._assigned_at = self.engine.now
+            self._open_interval(r)
         self._reply(req, Response(req.req_id, Status.OK,
                                   value=[r.handle() for r in chosen]))
         return True
@@ -371,12 +374,28 @@ class ResourceManager:
         self._drain_vqueue()
 
     def _finish_assignment(self, r: AcceleratorRecord) -> None:
+        r.owner_rank = None
+        r.job = None
+        if not self.admission.used_slots(r.ac_id):
+            self._close_interval(r)
+
+    def _open_interval(self, r: AcceleratorRecord) -> None:
+        """Start charging ``r`` as held (no-op while already held)."""
+        if r._assigned_at is None:
+            r._assigned_at = self.engine.now
+
+    def _close_interval(self, r: AcceleratorRecord) -> None:
         if r._assigned_at is not None:
             r.assigned_seconds += self.engine.now - r._assigned_at
             r._history.append((r._assigned_at, self.engine.now))
             r._assigned_at = None
-        r.owner_rank = None
-        r.job = None
+
+    def _lease_ended(self, ac_id: int) -> None:
+        """A device's last lease ending ends its held interval."""
+        r = self.records.get(ac_id)
+        if (r is not None and r.state != AcceleratorState.ASSIGNED
+                and not self.admission.used_slots(ac_id)):
+            self._close_interval(r)
 
     def _drain_queue(self) -> None:
         while self._wait_queue:
@@ -626,6 +645,7 @@ class ResourceManager:
                                      spec.mem_quota_bytes or 0,
                                      self.engine.now)
         record = self.records[ac_id]
+        self._open_interval(record)
         handle = VirtualAcceleratorHandle(
             vac_id=lease.vac_id, ac_id=ac_id,
             daemon_rank=record.daemon_rank, tenant=spec.tenant_id)
@@ -647,6 +667,7 @@ class ResourceManager:
         lease = self.admission.end(vac_id, self.engine.now)
         lease.preempted = True
         self._revoked_vacs.add(vac_id)
+        self._lease_ended(lease.ac_id)
         if notify:
             record = self.records[lease.ac_id]
             self.rank.isend(record.daemon_rank, TAG_REQUEST, Request(
@@ -677,6 +698,7 @@ class ResourceManager:
                       f"not {tenant!r}"))
             return
         self.admission.end(vac_id, self.engine.now)
+        self._lease_ended(lease.ac_id)
         self._reply(req, Response(req.req_id, Status.OK,
                                   value={"revoked": False}))
         self._drain_vqueue()

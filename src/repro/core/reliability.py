@@ -114,7 +114,11 @@ def reliable_rpc(rank: RankHandle, dst: int, tag: int, op: Op, params: dict,
     up) while racing the receive against a fresh deadline per attempt.
     Non-retryable ops get exactly one attempt.  Returns the
     :class:`Response` (``raise_for_status`` is the caller's job); raises
-    :class:`RequestTimeout` when every deadline expired.
+    :class:`RequestTimeout` when every deadline expired.  The daemon
+    answers every resend, so the replies this call does not consume are
+    discarded on arrival (and an expired receive is cancelled): left
+    queued, they would be matched by a later request whose reply tag
+    wrapped around to this one.
 
     ``stats`` may provide ``requests`` / ``timeouts`` integer attributes
     to be incremented (the front-end passes itself).  ``span`` is the
@@ -127,9 +131,11 @@ def reliable_rpc(rank: RankHandle, dst: int, tag: int, op: Op, params: dict,
         span = NULL_SPAN
     engine = rank.comm.engine
     req_id = next_request_id()
-    rreq = rank.irecv(source=dst, tag=reply_tag(req_id))
+    rtag = reply_tag(req_id)
+    rreq = rank.irecv(source=dst, tag=rtag)
     attempts = policy.max_attempts if (timeout_s is not None
                                        and op in RETRYABLE_OPS) else 1
+    sent = 0
     for attempt in range(attempts):
         if stats is not None:
             stats.requests += 1
@@ -139,6 +145,7 @@ def reliable_rpc(rank: RankHandle, dst: int, tag: int, op: Op, params: dict,
                                      reply_to=rank.index, params=params,
                                      attempt=attempt, trace=span.wire,
                                      sub_traces=sub_traces))
+        sent += 1
         if timeout_s is None:
             yield rreq.done
             break
@@ -155,7 +162,10 @@ def reliable_rpc(rank: RankHandle, dst: int, tag: int, op: Op, params: dict,
             yield engine.timeout(policy.backoff_s(attempt))
             if rreq.completed:  # the straggler reply landed during backoff
                 break
+    if sent > 1:
+        rank.discard_next(dst, rtag, count=sent - 1)
     if not rreq.completed:
+        rank.cancel_recv(rreq)
         raise RequestTimeout(
             f"{op.value} to rank {dst} timed out "
             f"({attempts} attempt(s), {timeout_s:g} s deadline each)")

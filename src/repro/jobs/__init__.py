@@ -7,6 +7,10 @@ the multi-tenant admission machinery, drives them concurrently over a
 :class:`~repro.cluster.builder.Cluster`, and applies the warm paths that
 make aggregation pay (cross-tenant request coalescing, per-tenant kernel
 caching, allocation-lease reuse).
+
+It is also the paper's Sect. V-B batch path: with one lease slot per
+device, a job asks for N accelerators, starts once they are free, and
+releases them when it ends; ``n_accelerators=0`` is a CPU-only job.
 """
 
 from .service import (

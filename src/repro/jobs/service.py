@@ -83,7 +83,9 @@ class JobSpec:
     ``deps`` names jobs this one must wait for; a job only runs when every
     dependency finished ``DONE`` (anything else cancels it).  ``priority``
     orders dispatch strictly (higher first); within a priority level the
-    weighted fair queue interleaves tenants by weight.
+    weighted fair queue interleaves tenants by weight.  A job with
+    ``n_accelerators=0`` is CPU-only: it costs no slots and never waits
+    for the pool.
     """
 
     name: str
@@ -99,9 +101,9 @@ class JobSpec:
             raise WorkloadError("job name must be non-empty")
         if not self.tenant:
             raise WorkloadError(f"job {self.name!r} needs a tenant")
-        if self.n_accelerators < 1:
+        if self.n_accelerators < 0:
             raise WorkloadError(
-                f"job {self.name!r} needs at least one accelerator")
+                f"job {self.name!r}: negative accelerator count")
         if self.arrival_s < 0:
             raise WorkloadError(f"job {self.name!r}: negative arrival time")
         if self.name in self.deps:
@@ -522,6 +524,7 @@ class JobService:
     # -- submission ------------------------------------------------------
     def submit(self, spec: JobSpec) -> JobRecord:
         """Submit one job; its dependencies must already be submitted."""
+        self._check_fits(spec)
         if spec.name in self._records:
             raise WorkloadError(f"duplicate job name {spec.name!r}")
         for dep in spec.deps:
@@ -547,9 +550,20 @@ class JobService:
         self.engine.process(self._job(rec), name=f"job:{spec.name}")
         return rec
 
+    def _check_fits(self, spec: JobSpec) -> None:
+        if spec.n_accelerators > self.max_in_flight:
+            # It could never be dispatched: reject it rather than let the
+            # rest of the ensemble drain and the run deadlock on it.
+            raise AllocationError(
+                f"job {spec.name!r} wants {spec.n_accelerators} "
+                f"accelerators, the service admits {self.max_in_flight}")
+
     def submit_many(self, specs: _t.Sequence[JobSpec]) -> list[JobRecord]:
-        """Submit a whole ensemble; rejects dependency cycles up front."""
+        """Submit a whole ensemble; rejects cycles and oversized jobs up
+        front, before any job is submitted."""
         order = self._toposort(specs)
+        for spec in specs:
+            self._check_fits(spec)
         by_name = {s.name: s for s in specs}
         records = [self.submit(by_name[name]) for name in order]
         by_rec = {r.spec.name: r for r in records}
@@ -862,3 +876,8 @@ class JobContext:
     @property
     def cluster(self):
         return self.service.cluster
+
+    @property
+    def cpu(self):
+        """The gateway compute node's CPU (for host-side work)."""
+        return self.cluster.compute_nodes[self.record.gateway].cpu

@@ -5,6 +5,7 @@ import pytest
 
 from repro.analysis.experiments import (
     ext_async,
+    ext_batch,
     ext_blocksize,
     ext_faults,
     ext_gpudirect,
@@ -55,6 +56,11 @@ class TestExtensionDriversQuick:
     def test_ext_tcp_quick(self):
         fig = ext_tcp.run(quick=True)
         ext_tcp.check(fig)
+
+    def test_ext_batch_quick(self):
+        # The Sect. V-B batch flow through the JobService front door.
+        fig = ext_batch.run(quick=True)
+        ext_batch.check(fig)
 
     def test_ext_blocksize_quick(self):
         fig = ext_blocksize.run(quick=True)

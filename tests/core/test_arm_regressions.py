@@ -201,3 +201,72 @@ class TestUtilizationWindow:
         # Long after release, a short trailing window sees an idle pool.
         eng.run(until=eng.timeout(50.0))
         assert cluster.arm.utilization(elapsed=1.0) == 0.0
+
+
+class TestLeaseUtilization:
+    """A device counts as held while it hosts at least one virtual lease."""
+
+    @pytest.fixture
+    def client(self, cluster, sess):
+        client = cluster.arm_client(0)
+        sess.call(client.register_tenant("t", max_vaccels=4))
+        return client
+
+    def test_lease_interval_and_windowing(self, cluster, sess, client):
+        arm = cluster.arm
+        grant = sess.call(client.valloc("t"))
+        r = arm.records[grant["vac"].ac_id]
+        sess.sleep(5.0)
+        # In flight: the lease holds its device for the whole 1 s window.
+        assert arm.utilization(elapsed=1.0) == pytest.approx(1.0 / 3.0)
+        sess.call(client.vrelease(grant["vac"]))
+        assert r._assigned_at is None
+        assert len(r._history) == 1
+        start, end = r._history[0]
+        assert end - start == pytest.approx(5.0, rel=0.01)
+        assert r.assigned_seconds == pytest.approx(end - start)
+        sess.sleep(45.0)
+        now = cluster.engine.now
+        assert arm.utilization() == pytest.approx((end - start) / (3 * now))
+        # A trailing window after the release sees an idle pool ...
+        assert arm.utilization(elapsed=10.0) == 0.0
+        # ... and one reaching back into the lease counts only the overlap.
+        w0 = now - 47.0
+        assert arm.utilization(elapsed=47.0) == pytest.approx(
+            (end - max(start, w0)) / (3 * 47.0))
+
+    def test_shared_device_held_until_last_lease_ends(self, cluster, sess,
+                                                      client):
+        arm = cluster.arm
+        grants = [sess.call(client.valloc("t")) for _ in range(4)]
+        # Placement spreads leases: the first and fourth share a device.
+        first, last = grants[0]["vac"], grants[3]["vac"]
+        assert first.ac_id == last.ac_id
+        r = arm.records[first.ac_id]
+        opened = r._assigned_at
+        sess.sleep(1.0)
+        sess.call(client.vrelease(first))
+        assert r._assigned_at == opened and r._history == []
+        sess.sleep(1.0)
+        sess.call(client.vrelease(last))
+        assert len(r._history) == 1
+        assert r._history[0][0] == opened
+        # Closed by the second release (ARM-side, one reply hop earlier).
+        assert r._history[0][1] == pytest.approx(cluster.engine.now,
+                                                 abs=1e-4)
+        for g in grants[1:3]:
+            sess.call(client.vrelease(g["vac"]))
+        assert all(rec._assigned_at is None for rec in arm.records.values())
+
+    def test_break_revoking_the_lease_closes_the_interval(self, cluster, sess,
+                                                         client):
+        arm = cluster.arm
+        grant = sess.call(client.valloc("t"))
+        r = arm.records[grant["vac"].ac_id]
+        sess.sleep(2.0)
+        sess.call(client.report_break(r.ac_id))
+        broke_at = cluster.engine.now
+        assert r._assigned_at is None
+        assert r._history[-1][1] == pytest.approx(broke_at, abs=1e-4)
+        assert sess.call(client.vrelease(grant["vac"])) == {"revoked": True}
+        assert len(r._history) == 1

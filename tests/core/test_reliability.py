@@ -37,6 +37,15 @@ def _victim(cluster, sess, retry=None, config=None):
     return handles[0], ra
 
 
+def reply_leftovers(cluster, rank_index):
+    """Unexpected arrivals and posted receives still on reply tags."""
+    state = cluster.comm._states[rank_index]
+    lo, hi = reply_tag(0), reply_tag(0) + 290_000
+    return ([tag for _, tag, _ in state.unexpected._entries
+             if lo <= tag < hi],
+            [tag for _, tag, _ in state.posted._entries if lo <= tag < hi])
+
+
 class TestRetryPolicy:
     def test_backoff_schedule_is_deterministic(self):
         p = RetryPolicy(timeout_s=1e-3, backoff_base_s=100e-6, backoff_factor=2.0)
@@ -77,6 +86,28 @@ class TestTimeouts:
         # PING is retryable: every attempt was sent and every deadline fired.
         assert ac.requests == 4
         assert ac.timeouts == 4
+        # The expired reply receive was cancelled, not left posted.
+        assert reply_leftovers(cluster, cluster.compute_rank(0).index) == ([], [])
+
+    def test_late_replies_after_deadline_expiry_are_dropped(self, rig):
+        # A severe straggler answers all four attempts, but only after the
+        # last deadline expired: none of the late replies may stay queued
+        # where a later request reusing the reply tag would match it.
+        cluster, sess, injector = rig
+        handles = sess.call(cluster.arm_client(0).alloc(count=1))
+        ac = cluster.remote(0, handles[0],
+                            retry=RetryPolicy(timeout_s=TIMEOUT_S))
+        daemon = cluster.daemons[handles[0].ac_id]
+        injector.slow_at(handles[0].ac_id, sess.now, 10_000.0)
+        sess.sleep(1e-6)
+        with pytest.raises(RequestTimeout):
+            sess.call(ac.ping())
+        sess.sleep(1.0)
+        assert daemon.stats.requests == 4   # every attempt was answered
+        assert reply_leftovers(cluster, cluster.compute_rank(0).index) == ([], [])
+        # The front-end still works once the straggler recovers.
+        daemon.slow_factor = 1.0
+        assert sess.call(ac.ping()) is not None
 
     def test_retry_schedule_timing(self, rig):
         # Total wall time = 4 deadlines + the three backoff gaps, exactly

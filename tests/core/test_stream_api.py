@@ -306,6 +306,14 @@ class TestStream:
         assert daemon.stats.dedup_hits >= 1       # ...and was replayed
         assert daemon.stats.mbatches == 1         # executed exactly once
         assert daemon.gpu.memory.used_bytes == 2 * 4096
+        # The resend's replay reply, delivered after the original, is
+        # dropped rather than left queued on the reply tag.
+        sess.sleep(2e-3)
+        state = cluster.comm._states[cluster.compute_rank(0).index]
+        lo, hi = reply_tag(0), reply_tag(0) + 290_000
+        assert not [t for _, t, _ in state.unexpected._entries
+                    if lo <= t < hi]
+        assert not [t for _, t, _ in state.posted._entries if lo <= t < hi]
 
 
 class TestBackendParity:

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from repro.cluster import Cluster, paper_testbed
-from repro.errors import WorkloadError
+from repro.core import FaultInjector, RetryPolicy
+from repro.errors import AllocationError, WorkloadError
 from repro.jobs import JobService, JobSpec, JobState
+from repro.mpisim import Phantom
+from repro.units import MiB
 
 
 @pytest.fixture
@@ -52,7 +55,7 @@ class TestSpecValidation:
     @pytest.mark.parametrize("kwargs", [
         {"name": ""},
         {"tenant": ""},
-        {"n_accelerators": 0},
+        {"n_accelerators": -1},
         {"arrival_s": -1.0},
     ])
     def test_field_validation(self, kwargs):
@@ -60,6 +63,12 @@ class TestSpecValidation:
         base.update(kwargs)
         with pytest.raises(WorkloadError):
             JobSpec(**base)
+
+    def test_spec_validation(self):
+        with pytest.raises(WorkloadError, match="negative accelerator count"):
+            JobSpec(name="x", tenant="t", body=ping_body(), n_accelerators=-1)
+        with pytest.raises(WorkloadError, match="negative arrival time"):
+            JobSpec(name="x", tenant="t", body=ping_body(), arrival_s=-1.0)
 
 
 class TestDagEdgeCases:
@@ -276,3 +285,205 @@ class TestWarmPaths:
         assert rec.state is JobState.FAILED
         assert svc.lease_pool.parked == 0
         assert svc._arm_held == 0
+
+
+def burn_body(items: int, log=None):
+    """``items`` phantom upload + gemm rounds on every leased device."""
+
+    def body(ctx):
+        if log is not None:
+            log.append((ctx.spec.name, ctx.engine.now))
+        ptrs = []
+        for ac in ctx.accelerators:
+            ptrs.append((yield from ac.mem_alloc(MiB)))
+        for _ in range(items):
+            for ac, p in zip(ctx.accelerators, ptrs):
+                yield from ac.memcpy_h2d(p, Phantom(MiB))
+                yield from ac.kernel_run(
+                    "dgemm", {"A": 0, "B": 0, "C": 0,
+                              "m": 512, "n": 512, "k": 512}, real=False)
+        for ac, p in zip(ctx.accelerators, ptrs):
+            yield from ac.mem_free(p)
+        return len(ctx.accelerators)
+
+    return body
+
+
+class TestBatchFlow:
+    """Sect. V-B's batch flow: ask for N devices, start once they are
+    free, release them at the end — through the one job front door."""
+
+    @pytest.fixture
+    def batch(self):
+        cluster = Cluster(paper_testbed(n_compute=2, n_accelerators=3))
+        cluster.arm.admission.slots_per_device = 1  # a lease = a device
+        return cluster
+
+    def test_single_job_runs_and_releases(self, batch):
+        svc = JobService(batch)
+        rec = svc.run_all([JobSpec(name="j0", tenant="t", body=burn_body(3),
+                                   n_accelerators=2)])[0]
+        assert rec.state is JobState.DONE and rec.result == 2
+        assert batch.arm.admission.leases == {}
+        assert svc._free == svc.max_in_flight and svc._arm_held == 0
+
+    def test_two_jobs_share_the_pool(self, batch):
+        recs = JobService(batch).run_all([
+            JobSpec(name="a", tenant="a", body=burn_body(5),
+                    n_accelerators=2),
+            JobSpec(name="b", tenant="b", body=burn_body(5)),
+        ])
+        assert all(r.state is JobState.DONE for r in recs)
+        # Three devices cover both jobs: neither waits for the other.
+        assert all(r.start_s - r.spec.arrival_s < 1e-3 for r in recs)
+
+    def test_jobs_share_a_compute_node(self):
+        # A job holds devices, not its gateway: two jobs run side by side
+        # through the one compute node.
+        cluster = Cluster(paper_testbed(n_compute=1, n_accelerators=3))
+        cluster.arm.admission.slots_per_device = 1
+        first, second = JobService(cluster).run_all([
+            JobSpec(name="first", tenant="a", body=burn_body(5)),
+            JobSpec(name="second", tenant="b", body=burn_body(1)),
+        ])
+        assert first.gateway == second.gateway == 0
+        assert second.start_s < first.end_s
+
+    def test_utilization_visible_to_arm(self, batch):
+        JobService(batch).run_all([JobSpec(name="j", tenant="t",
+                                           body=burn_body(20),
+                                           n_accelerators=3)])
+        assert batch.arm.utilization() > 0.5
+
+    def test_cpu_only_job(self, batch):
+        def body(ctx):
+            assert ctx.accelerators == []
+            assert ctx.cpu is batch.compute_nodes[ctx.record.gateway].cpu
+            yield ctx.engine.timeout(1.0)
+            return "cpu-done"
+
+        svc = JobService(batch)
+        rec = svc.run_all([JobSpec(name="cpu", tenant="t", body=body,
+                                   n_accelerators=0)])[0]
+        assert rec.state is JobState.DONE and rec.result == "cpu-done"
+        assert svc.leases_cold == 0 and svc._free == svc.max_in_flight
+
+    def test_cpu_only_job_runs_beside_a_full_pool(self, batch):
+        svc = JobService(batch)
+        recs = svc.run_all([
+            JobSpec(name="big", tenant="a", body=burn_body(10),
+                    n_accelerators=3),
+            JobSpec(name="cpu", tenant="b", body=lambda ctx: iter(()),
+                    n_accelerators=0, arrival_s=1e-4),
+        ])
+        big, cpu = recs
+        assert cpu.state is JobState.DONE
+        assert cpu.start_s < big.end_s  # never waited for the pool
+
+    def test_oversized_request_rejected_at_submit(self, batch):
+        svc = JobService(batch)
+        with pytest.raises(AllocationError, match="wants 9 .* admits 3"):
+            svc.submit(JobSpec(name="huge", tenant="t", body=burn_body(1),
+                               n_accelerators=9))
+        assert svc.records == []
+
+    def test_oversized_job_in_ensemble_rejected_before_any_submit(self):
+        # 13 leases on 3 GPUs x 4 slots would never dispatch.
+        cluster = Cluster(paper_testbed(n_compute=1, n_accelerators=3))
+        cluster.arm.admission.slots_per_device = 4
+        svc = JobService(cluster)
+        specs = [JobSpec(name="ok", tenant="t", body=ping_body()),
+                 JobSpec(name="huge", tenant="t", body=burn_body(1),
+                         n_accelerators=13)]
+        with pytest.raises(AllocationError, match="wants 13 .* admits 12"):
+            svc.run_all(specs)
+        assert svc.records == []
+
+    def test_arrival_times_respected(self, batch):
+        svc = JobService(batch)
+        rec = svc.run_all([JobSpec(name="later", tenant="t",
+                                   body=burn_body(1), arrival_s=5.0)])[0]
+        assert rec.state is JobState.DONE
+        assert rec.ready_s == 5.0 and rec.start_s >= 5.0
+
+    def test_pool_shortage_queues_whole_devices_fifo(self, batch):
+        svc = JobService(batch)
+        recs = svc.run_all([
+            JobSpec(name="big", tenant="a", body=burn_body(10),
+                    n_accelerators=3),
+            JobSpec(name="late", tenant="b", body=burn_body(1),
+                    arrival_s=1e-4),
+        ])
+        big, late = recs
+        assert big.state is late.state is JobState.DONE
+        # "late" found every device taken and waited for "big" to end.
+        assert late.start_s >= big.end_s
+
+    def test_real_numerics_inside_job(self, batch):
+        data = np.arange(64, dtype=np.float64)
+
+        def body(ctx):
+            ac = ctx.accelerators[0]
+            p = yield from ac.mem_alloc(data.nbytes)
+            yield from ac.memcpy_h2d(p, data)
+            yield from ac.kernel_run("dscal", {"x": p, "n": 64,
+                                               "alpha": 3.0})
+            out = yield from ac.memcpy_d2h(p, data.nbytes)
+            return np.frombuffer(out, dtype=np.float64)
+
+        rec = JobService(batch).run_all(
+            [JobSpec(name="math", tenant="t", body=body)])[0]
+        np.testing.assert_allclose(rec.result, 3.0 * data)
+
+    def test_failing_job_still_returns_its_leases(self, batch):
+        def bad(ctx):
+            yield ctx.engine.timeout(1e-3)
+            raise RuntimeError("app crash")
+
+        svc = JobService(batch)
+        rec = svc.run_all([JobSpec(name="bad", tenant="t", body=bad,
+                                   n_accelerators=2)])[0]
+        assert rec.state is JobState.FAILED
+        assert isinstance(rec.error, RuntimeError)
+        assert batch.arm.admission.leases == {}
+        assert svc._free == svc.max_in_flight and svc._arm_held == 0
+
+
+class TestFaultsMidJob:
+    """A device fault fails only the job on it; all slots come back."""
+
+    @staticmethod
+    def _victim(fault):
+        def body(ctx):
+            ac = ctx.accelerators[0]
+            fault(FaultInjector(ctx.cluster), ac.device_id,
+                  ctx.engine.now + 1e-3)
+            while True:
+                yield from ac.kernel_run(
+                    "dgemm", {"A": 0, "B": 0, "C": 0,
+                              "m": 512, "n": 512, "k": 512}, real=False)
+
+        return body
+
+    def _run(self, fault, retry=None):
+        cluster = Cluster(paper_testbed(n_compute=2, n_accelerators=2))
+        cluster.arm.admission.slots_per_device = 1
+        svc = JobService(cluster, retry=retry)
+        victim, other = svc.run_all([
+            JobSpec(name="victim", tenant="a", body=self._victim(fault)),
+            JobSpec(name="other", tenant="b", body=burn_body(20)),
+        ])
+        assert victim.state is JobState.FAILED
+        assert other.state is JobState.DONE
+        assert cluster.arm.admission.leases == {}
+        assert svc._free == svc.max_in_flight and svc._arm_held == 0
+        return victim
+
+    def test_break_mid_job(self):
+        victim = self._run(lambda inj, ac, t: inj.break_at(ac, t))
+        assert "failed" in str(victim.error)
+
+    def test_crash_mid_job_under_retry_deadline(self):
+        victim = self._run(lambda inj, ac, t: inj.crash_at(ac, t),
+                           retry=RetryPolicy(timeout_s=1e-3))
+        assert "timed out" in str(victim.error)
